@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "attack/registry.hh"
+#include "common/log.hh"
 #include "defense/registry.hh"
 #include "fuzz/pattern.hh"
 #include "paging/arch.hh"
@@ -205,6 +206,10 @@ runScenario(const std::string &path, unsigned jobs,
     try {
         campaign = sim::Campaign::fromManifest(path);
     } catch (const json::JsonError &err) {
+        std::cerr << "attack_lab: " << path << ": " << err.what()
+                  << '\n';
+        return 2;
+    } catch (const FatalError &err) {
         std::cerr << "attack_lab: " << path << ": " << err.what()
                   << '\n';
         return 2;

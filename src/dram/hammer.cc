@@ -463,12 +463,15 @@ RowHammerEngine::activate(std::uint64_t bank, std::uint64_t row,
         }
     }
 
+    std::vector<RowPressure> &victims = pressure_[bank];
+    if (victims.empty())
+        victims.resize(rows);
     // A victim's `below` pressure counts activations of the device
     // row beneath it (i.e. this aggressor when the victim sits above).
     if (below)
-        pressure_[rowKey(bank, aggressor - 1)].above += activations;
+        victims[aggressor - 1].above += activations;
     if (above)
-        pressure_[rowKey(bank, aggressor + 1)].below += activations;
+        victims[aggressor + 1].below += activations;
 }
 
 double
@@ -489,18 +492,43 @@ RowHammerEngine::pressureIntensity(const RowPressure &pressure) const
 }
 
 void
-RowHammerEngine::evaluatePressure(std::uint64_t key,
+RowHammerEngine::evaluatePressure(std::uint64_t bank,
+                                  std::uint64_t device_row,
                                   HammerResult &result)
 {
-    auto it = pressure_.find(key);
-    if (it == pressure_.end())
+    RowPressure &pressure = pressure_[bank][device_row];
+    if (!pressure.pending())
         return;
-    const double intensity = pressureIntensity(it->second);
-    pressure_.erase(it);
+    const double intensity = pressureIntensity(pressure);
+    pressure = RowPressure{};
     if (intensity <= 0.0)
         return;
-    disturbDeviceRow(key >> 40, key & ((1ULL << 40) - 1), intensity,
-                     result);
+    if (pressureSink_)
+        pressureSink_->onPressure(bank, device_row, intensity);
+    else
+        disturbDeviceRow(bank, device_row, intensity, result);
+}
+
+void
+RowHammerEngine::clearPressure(std::uint64_t bank,
+                               std::uint64_t device_row)
+{
+    // TRR targets come from the mitigation: a sampler may name the
+    // row past either edge of the bank, which holds no pressure.
+    if (bank < pressure_.size() && device_row < pressure_[bank].size())
+        pressure_[bank][device_row] = RowPressure{};
+}
+
+std::size_t
+RowHammerEngine::pendingPressureRows() const
+{
+    std::size_t pending = 0;
+    for (const std::vector<RowPressure> &bank : pressure_) {
+        pending += std::count_if(
+            bank.begin(), bank.end(),
+            [](const RowPressure &row) { return row.pending(); });
+    }
+    return pending;
 }
 
 void
@@ -514,31 +542,25 @@ RowHammerEngine::refTick(std::uint64_t bank, HammerResult &result)
         observer_->onRef(event, trrScratch_);
         for (const std::uint64_t device_row : trrScratch_) {
             stats_.at(trrRefreshesId_).increment();
-            pressure_.erase(rowKey(bank, device_row));
+            clearPressure(bank, device_row);
         }
     }
 
     // This REF refreshes the rows whose slot this interval is; their
     // accumulated pressure is what charge they lost since their last
-    // refresh.  Keys are sorted so flips land in ascending device-row
-    // order regardless of hash-map iteration order (the event-sink
-    // determinism contract).
-    const std::uint64_t rowMask = (1ULL << 40) - 1;
-    const std::uint64_t slot =
-        refInterval_ % refTiming_.refsPerWindow;
-    evalScratch_.clear();
-    for (const auto &[key, pressure] : pressure_) {
-        if ((key >> 40) == bank &&
-            (key & rowMask) % refTiming_.refsPerWindow == slot) {
-            evalScratch_.push_back(key);
-        }
-    }
-    std::sort(evalScratch_.begin(), evalScratch_.end());
-
+    // refresh.  Striding the bank's dense array from the slot visits
+    // exactly those rows, in ascending device-row order (the
+    // event-sink determinism contract).
     const std::uint64_t before10 = result.flips10;
     const std::uint64_t before01 = result.flips01;
-    for (const std::uint64_t key : evalScratch_)
-        evaluatePressure(key, result);
+    if (bank < pressure_.size()) {
+        const std::uint64_t rows = pressure_[bank].size();
+        const std::uint64_t stride = refTiming_.refsPerWindow;
+        for (std::uint64_t row = refInterval_ % stride; row < rows;
+             row += stride) {
+            evaluatePressure(bank, row, result);
+        }
+    }
     stats_.at(flips10Id_).increment(result.flips10 - before10);
     stats_.at(flips01Id_).increment(result.flips01 - before01);
 
@@ -549,17 +571,13 @@ void
 RowHammerEngine::drainPressure(std::uint64_t bank,
                                HammerResult &result)
 {
-    evalScratch_.clear();
-    for (const auto &[key, pressure] : pressure_) {
-        if ((key >> 40) == bank)
-            evalScratch_.push_back(key);
-    }
-    std::sort(evalScratch_.begin(), evalScratch_.end());
-
     const std::uint64_t before10 = result.flips10;
     const std::uint64_t before01 = result.flips01;
-    for (const std::uint64_t key : evalScratch_)
-        evaluatePressure(key, result);
+    if (bank < pressure_.size()) {
+        const std::uint64_t rows = pressure_[bank].size();
+        for (std::uint64_t row = 0; row < rows; ++row)
+            evaluatePressure(bank, row, result);
+    }
     stats_.at(flips10Id_).increment(result.flips10 - before10);
     stats_.at(flips01Id_).increment(result.flips01 - before01);
 }

@@ -38,7 +38,10 @@
  *    onRef), whose targeted refreshes clear pressure early.  This is
  *    what makes activation *timing and ordering* matter — the
  *    substrate the Blacksmith-style pattern fuzzer (src/fuzz/)
- *    searches over.
+ *    searches over.  With a PressureSink installed, evaluated
+ *    pressure is reported as an intensity instead of applied as
+ *    flips: the fuzzer scores candidates that way on the same REF
+ *    clock attack replay uses.
  */
 
 #ifndef CTAMEM_DRAM_HAMMER_HH
@@ -182,6 +185,24 @@ class DisturbanceObserver
     }
 };
 
+/**
+ * Receiver of evaluated timed-path pressure.  While a sink is
+ * installed (RowHammerEngine::setPressureSink), each victim row whose
+ * refresh slot arrives, or that drainPressure() reaches, is reported
+ * here with the intensity its pressure amounted to, and no flips are
+ * applied.  The REF clock, TRR clearing and pressure accounting are
+ * the ones attack replay runs; only the final conversion differs.
+ */
+class PressureSink
+{
+  public:
+    virtual ~PressureSink() = default;
+
+    /** Victim @p device_row of @p bank reached @p intensity (> 0). */
+    virtual void onPressure(std::uint64_t bank, std::uint64_t device_row,
+                            double intensity) = 0;
+};
+
 /** A cached vulnerable cell within one device row. */
 struct VulnerableBit
 {
@@ -232,7 +253,8 @@ class RowHammerEngine
 
     explicit RowHammerEngine(DramModule &module,
                              DisturbanceObserver *observer = nullptr)
-        : module_(module), observer_(observer)
+        : module_(module), observer_(observer),
+          pressure_(module.geometry().banks())
     {
         // Sized for a templating sweep over a few hundred rows; the
         // map only rehashes on campaigns far beyond that.
@@ -294,7 +316,14 @@ class RowHammerEngine
      * flips when its own refresh slot arrives (device row r is
      * refreshed by the REF whose interval index matches
      * r % refsPerWindow), then starts from full charge again.  A
-     * mitigation's onRef() targeted refreshes clear pressure early.
+     * mitigation's onRef() targeted refreshes clear pressure early;
+     * targets outside the bank are counted and otherwise ignored.
+     *
+     * Pressure lives in one dense array per bank, indexed by device
+     * row and allocated on the bank's first timed activation, so a
+     * REF visits exactly its slot's rows (slot, slot + refsPerWindow,
+     * ...) and every walk runs in ascending device-row order — the
+     * order flips reach the event sink.
      *
      * Pressure maps onto the untimed intensities: a window of paired
      * (double-sided) activations reaches doubleSidedIntensity, a
@@ -336,7 +365,13 @@ class RowHammerEngine
     void drainPressure(std::uint64_t bank, HammerResult &result);
 
     /** Victim rows currently carrying unevaluated pressure. */
-    std::size_t pendingPressureRows() const { return pressure_.size(); }
+    std::size_t pendingPressureRows() const;
+
+    /**
+     * Report evaluated pressure to @p sink instead of applying flips
+     * (null restores flip application).  See PressureSink.
+     */
+    void setPressureSink(PressureSink *sink) { pressureSink_ = sink; }
     /** @} */
 
     /**
@@ -376,13 +411,22 @@ class RowHammerEngine
     {
         std::uint64_t below = 0; //!< activations of the row beneath
         std::uint64_t above = 0; //!< activations of the row on top
+
+        bool pending() const { return (below | above) != 0; }
     };
 
     /** Effective disturbance intensity of accumulated pressure. */
     double pressureIntensity(const RowPressure &pressure) const;
 
-    /** Convert one victim row's pressure into flips and clear it. */
-    void evaluatePressure(std::uint64_t key, HammerResult &result);
+    /**
+     * Convert one victim row's pressure into flips (or report it to
+     * the pressure sink) and clear it; no-op without pressure.
+     */
+    void evaluatePressure(std::uint64_t bank, std::uint64_t device_row,
+                          HammerResult &result);
+
+    /** Drop one row's pressure unevaluated (a targeted refresh). */
+    void clearPressure(std::uint64_t bank, std::uint64_t device_row);
 
     DramModule &module_;
     DisturbanceObserver *observer_;
@@ -396,10 +440,13 @@ class RowHammerEngine
     // Timed-path state.
     RefTiming refTiming_;
     std::uint64_t refInterval_ = 0;
-    /** Outstanding pressure keyed like the profile map (bank, row). */
-    std::unordered_map<std::uint64_t, RowPressure> pressure_;
-    std::vector<std::uint64_t> trrScratch_;  //!< onRef refresh targets
-    std::vector<std::uint64_t> evalScratch_; //!< keys due this REF
+    /**
+     * Outstanding pressure, pressure_[bank][device row]; a bank's
+     * array stays empty until its first timed activation.
+     */
+    std::vector<std::vector<RowPressure>> pressure_;
+    PressureSink *pressureSink_ = nullptr;
+    std::vector<std::uint64_t> trrScratch_; //!< onRef refresh targets
 
     StatGroup stats_;
     StatId passesId_;

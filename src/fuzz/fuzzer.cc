@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <map>
 #include <utility>
 
+#include "common/log.hh"
 #include "runtime/thread_pool.hh"
 
 namespace ctamem::fuzz {
@@ -43,6 +46,81 @@ atomicMax(std::atomic<std::uint64_t> &slot, std::uint64_t value)
     }
 }
 
+/**
+ * Sort trip thresholds in expected linear time.  They are uniform on
+ * [0, 1), so a counting pass into as many buckets as values leaves
+ * about one value per bucket, and an insertion sort only has to order
+ * within buckets — several times cheaper than a comparison sort on
+ * the per-search table build.
+ */
+void
+sortThresholds(std::vector<double> &values)
+{
+    const std::size_t n = values.size();
+    const auto bucket = [n](double value) {
+        return std::min(n - 1, static_cast<std::size_t>(value * n));
+    };
+    std::vector<std::size_t> next(n + 1, 0);
+    for (const double value : values)
+        ++next[bucket(value) + 1];
+    for (std::size_t b = 1; b <= n; ++b)
+        next[b] += next[b - 1];
+    std::vector<double> sorted(n);
+    for (const double value : values)
+        sorted[next[bucket(value)]++] = value;
+    for (std::size_t i = 1; i < n; ++i) {
+        const double value = sorted[i];
+        std::size_t j = i;
+        for (; j > 0 && sorted[j - 1] > value; --j)
+            sorted[j] = sorted[j - 1];
+        sorted[j] = value;
+    }
+    values = std::move(sorted);
+}
+
+/** Peak evaluated intensity of every victim row of one replay. */
+class PeakIntensity final : public dram::PressureSink
+{
+  public:
+    void
+    onPressure(std::uint64_t bank, std::uint64_t device_row,
+               double intensity) override
+    {
+        (void)bank; // a replay hammers one bank
+        double &peak = peaks[device_row];
+        peak = std::max(peak, intensity);
+    }
+
+    std::map<std::uint64_t, double> peaks;
+};
+
+/**
+ * Flips of a victim row outside the primed arena, which holds the
+ * module's fill: only lanes storing the value their direction
+ * consumes can flip, each at most once, so the count is those lanes
+ * tripped at the row's peak intensity.
+ */
+std::uint64_t
+fillStateFlips(dram::RowHammerEngine &engine, std::uint64_t bank,
+               std::uint64_t device_row, double intensity)
+{
+    const dram::RowVulnProfile &profile =
+        engine.rowProfile(bank, device_row);
+    if (!profile.mapped)
+        return 0;
+    const dram::DramModule &module = engine.module();
+    std::uint64_t flips = 0;
+    for (const dram::MaskWord &mw : profile.words) {
+        const Addr waddr = profile.base + mw.word * 8ULL;
+        const std::uint64_t stored = module.readU64(waddr);
+        const std::uint64_t ready =
+            mw.vuln & ((mw.dir10 & stored) | (~mw.dir10 & ~stored));
+        flips += std::popcount(
+            module.faults().tripMaskWord(waddr, intensity, ready));
+    }
+    return flips;
+}
+
 } // namespace
 
 FuzzStats
@@ -60,6 +138,22 @@ fuzzStats()
     return stats;
 }
 
+void
+checkParams(const FuzzParams &params)
+{
+    const std::pair<const char *, std::uint64_t> positive[] = {
+        {"windows", params.windows},
+        {"refsPerWindow", params.timing.refsPerWindow},
+        {"actsPerInterval", params.timing.actsPerInterval},
+        {"maxEntries", params.builder.maxEntries},
+        {"maxPeriod", params.builder.maxPeriod},
+        {"maxSlots", params.builder.maxSlots}};
+    for (const auto &[key, value] : positive) {
+        if (value == 0)
+            fatal("fuzz.", key, " must be at least 1");
+    }
+}
+
 PatternFuzzer::PatternFuzzer(FuzzTarget target,
                              const FuzzParams &params)
     : target_(std::move(target)), params_(params),
@@ -67,46 +161,85 @@ PatternFuzzer::PatternFuzzer(FuzzTarget target,
       seed_(params.seed ? params.seed
                         : deriveSeed(target_.dram.seed,
                                      seeds::kFuzzStream))
-{}
+{
+    checkParams(params);
+}
+
+const PatternFuzzer::ArenaThresholds &
+PatternFuzzer::arenaThresholds() const
+{
+    std::call_once(thresholdsOnce_, [this] {
+        dram::DramModule module(target_.dram);
+        dram::RowHammerEngine engine(module);
+        const dram::FaultModel &faults = module.faults();
+        const std::uint64_t rows = module.geometry().rowsPerBank();
+        const std::uint64_t first =
+            target_.baseRow > 0 ? target_.baseRow - 1 : 0;
+        const std::uint64_t last = std::min(
+            rows, target_.baseRow + params_.builder.arenaRows + 2);
+        for (std::uint64_t row = first; row < last; ++row) {
+            const std::uint64_t device =
+                module.deviceRow(target_.bank, row);
+            const dram::RowVulnProfile &profile =
+                engine.rowProfile(target_.bank, device);
+            std::vector<double> &table = thresholds_[device];
+            if (!profile.mapped)
+                continue;
+            table.reserve(profile.vulnerableCells);
+            for (const dram::MaskWord &mw : profile.words) {
+                for (std::uint64_t rest = mw.vuln; rest;
+                     rest &= rest - 1) {
+                    const unsigned k = std::countr_zero(rest);
+                    table.push_back(faults.tripThreshold(
+                        profile.base + mw.word * 8ULL + k / 8, k % 8));
+                }
+            }
+            sortThresholds(table);
+        }
+    });
+    return thresholds_;
+}
 
 std::uint64_t
 PatternFuzzer::evaluate(const HammeringPattern &pattern) const
 {
+    const ArenaThresholds &arena = arenaThresholds();
+
     // A private replica per evaluation: candidates never share
     // mutable state, which is what makes pool scheduling irrelevant
-    // to the outcome.  The replica boots the target's seed, so row
-    // profiles come straight from the process-wide cache.
+    // to the outcome.  Its store stays untouched — the replay only
+    // reports pressure — so the replica costs no frames.
     dram::DramModule module(target_.dram);
     std::unique_ptr<dram::DisturbanceObserver> observer;
     if (target_.makeObserver)
         observer = target_.makeObserver();
     dram::RowHammerEngine engine(module, observer.get());
     engine.setRefTiming(params_.timing);
-
-    // Prime the arena flip-ready: every vulnerable cell stores the
-    // value its flip direction consumes, so the score counts every
-    // cell the pattern's disturbance actually trips.
-    const std::uint64_t rows = module.geometry().rowsPerBank();
-    const std::uint64_t first =
-        target_.baseRow > 0 ? target_.baseRow - 1 : 0;
-    const std::uint64_t last = std::min(
-        rows, target_.baseRow + params_.builder.arenaRows + 2);
-    for (std::uint64_t row = first; row < last; ++row) {
-        const std::uint64_t device =
-            module.deviceRow(target_.bank, row);
-        const dram::RowVulnProfile &profile =
-            engine.rowProfile(target_.bank, device);
-        if (!profile.mapped)
-            continue;
-        for (const dram::MaskWord &mw : profile.words)
-            module.writeU64(profile.base + mw.word * 8ULL, mw.dir10);
-    }
+    PeakIntensity peak;
+    engine.setPressureSink(&peak);
 
     PatternRun run;
     run.bank = target_.bank;
     run.baseRow = target_.baseRow;
     run.windows = params_.windows;
-    return runPattern(engine, pattern, run).total();
+    runPattern(engine, pattern, run);
+
+    // Every cell of a primed row is flip-ready: its flips are the
+    // cells whose trip threshold the peak intensity reaches.
+    std::uint64_t flips = 0;
+    for (const auto &[device_row, intensity] : peak.peaks) {
+        const auto table = arena.find(device_row);
+        if (table == arena.end()) {
+            flips += fillStateFlips(engine, target_.bank, device_row,
+                                    intensity);
+            continue;
+        }
+        flips += static_cast<std::uint64_t>(
+            std::upper_bound(table->second.begin(),
+                             table->second.end(), intensity) -
+            table->second.begin());
+    }
+    return flips;
 }
 
 FuzzOutcome

@@ -5,10 +5,12 @@
  * PatternFuzzer runs a (mu + lambda)-style loop over
  * HammeringPatterns: generation 0 seeds from the published pattern
  * families plus random fill, each candidate is scored by replaying
- * it on a *private* simulated module (same seed as the target, so
- * the shared row-profile cache serves every evaluation) against a
- * freshly built defense observer, and survivors are selected on
- * flips induced.  All randomness is counter-seeded — child i of
+ * its REF schedule on a *private* engine (same module seed as the
+ * target) against a freshly built defense observer, and survivors
+ * are selected on flips induced.  Scoring needs no backing store:
+ * evaluate() counts the cells the replay's peak per-row intensities
+ * trip in a flip-ready arena, from trip-threshold tables built once
+ * per search.  All randomness is counter-seeded — child i of
  * generation g draws from Rng(deriveSeed(seed, g * stride + i)) —
  * and results merge by population index, so the best pattern is
  * bit-identical whether evaluations run serially or on any
@@ -25,6 +27,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <unordered_map>
+#include <vector>
 
 #include "dram/module.hh"
 #include "fuzz/pattern.hh"
@@ -48,6 +53,15 @@ struct FuzzParams
 
     bool operator==(const FuzzParams &) const = default;
 };
+
+/**
+ * Fatal, naming the key, unless windows, refsPerWindow,
+ * actsPerInterval, maxEntries, maxPeriod and maxSlots are all at
+ * least 1: the search draws uniformly below the bounds (zero divides
+ * by zero) and a zero-interval replay scores nothing.  The manifest
+ * layer and the PatternFuzzer constructor share this precondition.
+ */
+void checkParams(const FuzzParams &params);
 
 /** What the fuzzer attacks: a module config + a defense factory. */
 struct FuzzTarget
@@ -78,6 +92,7 @@ struct FuzzOutcome
 class PatternFuzzer
 {
   public:
+    /** Fatals on @p params that fail checkParams(). */
     PatternFuzzer(FuzzTarget target, const FuzzParams &params);
 
     /**
@@ -87,17 +102,37 @@ class PatternFuzzer
      */
     FuzzOutcome run(runtime::ThreadPool *pool = nullptr);
 
-    /** Score one pattern: flips induced on a fresh target replica. */
+    /**
+     * Score one pattern: the flips its replay induces on a fresh
+     * target replica whose arena — rows baseRow - 1 through
+     * baseRow + arenaRows + 1 — is primed flip-ready (every
+     * vulnerable cell stores the value its direction consumes) and
+     * whose other rows hold the module's fill.  Computed without
+     * materializing that replica: in such an arena each cell flips at
+     * most once and the tripped sets nest by threshold, so a row's
+     * flips are its flip-ready cells with threshold <= the peak
+     * intensity its pressure reached.  Thread-safe; the first call
+     * builds the arena's threshold tables.
+     */
     std::uint64_t evaluate(const HammeringPattern &pattern) const;
 
     /** The resolved search seed (after the 0 = derive default). */
     std::uint64_t seed() const { return seed_; }
 
   private:
+    /** Sorted trip thresholds of each primed arena device row. */
+    using ArenaThresholds =
+        std::unordered_map<std::uint64_t, std::vector<double>>;
+
+    /** The arena's tables, built on first use (once per search). */
+    const ArenaThresholds &arenaThresholds() const;
+
     FuzzTarget target_;
     FuzzParams params_;
     PatternBuilder builder_;
     std::uint64_t seed_;
+    mutable std::once_flag thresholdsOnce_;
+    mutable ArenaThresholds thresholds_;
 };
 
 /** @name Process-wide fuzzer progress counters

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "common/log.hh"
 
@@ -18,6 +19,21 @@ HammeringPattern::hash() const
                        entry.activations);
     }
     return h;
+}
+
+PatternBuilder::PatternBuilder(const BuilderParams &params,
+                               const dram::RefTiming &timing)
+    : params_(params), timing_(timing)
+{
+    const std::pair<const char *, std::uint64_t> bounds[] = {
+        {"maxEntries", params.maxEntries},
+        {"maxPeriod", params.maxPeriod},
+        {"maxSlots", params.maxSlots},
+        {"actsPerInterval", timing.actsPerInterval}};
+    for (const auto &[key, value] : bounds) {
+        if (value == 0)
+            fatal("fuzz.", key, " must be at least 1");
+    }
 }
 
 PatternEntry
@@ -182,16 +198,23 @@ runPattern(dram::RowHammerEngine &engine,
                   const std::uint64_t sr = pattern.entries[rhs].slot;
                   return sl != sr ? sl < sr : lhs < rhs;
               });
+    // Each entry fires on the intervals t with
+    // t % frequency == phase % frequency; tracking the next such
+    // interval keeps divisions out of the interval loop.
+    std::vector<std::uint64_t> next(pattern.entries.size());
+    for (std::size_t i = 0; i < next.size(); ++i) {
+        const PatternEntry &entry = pattern.entries[i];
+        next[i] = entry.phase % entry.frequency;
+    }
 
     for (std::uint64_t t = 0; t < intervals; ++t) {
         std::uint64_t budget = timing.actsPerInterval;
         std::uint64_t position = 0;
         for (const std::uint64_t index : order) {
-            const PatternEntry &entry = pattern.entries[index];
-            if (t % entry.frequency !=
-                entry.phase % entry.frequency) {
+            if (next[index] != t)
                 continue; // not this entry's interval
-            }
+            const PatternEntry &entry = pattern.entries[index];
+            next[index] += entry.frequency;
             const std::uint64_t bursts = entry.pairGap ? 2 : 1;
             for (std::uint64_t burst = 0; burst < bursts; ++burst) {
                 if (budget == 0)

@@ -77,10 +77,13 @@ struct BuilderParams
 class PatternBuilder
 {
   public:
+    /**
+     * Fatals when maxEntries, maxPeriod, maxSlots or the timing's
+     * actsPerInterval is zero: the operators draw uniformly below
+     * each of them.
+     */
     PatternBuilder(const BuilderParams &params,
-                   const dram::RefTiming &timing)
-        : params_(params), timing_(timing)
-    {}
+                   const dram::RefTiming &timing);
 
     /** A uniformly random pattern within the bounds. */
     HammeringPattern random(Rng &rng) const;

@@ -2,6 +2,7 @@
 
 #include "attack/registry.hh"
 #include "defense/registry.hh"
+#include "fuzz/fuzzer.hh"
 
 namespace ctamem::sim {
 
@@ -112,6 +113,7 @@ fuzzFromJson(const Json &j, const fuzz::FuzzParams &base)
         else
             unknownKey("fuzz", key);
     }
+    fuzz::checkParams(params);
     return params;
 }
 

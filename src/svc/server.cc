@@ -244,6 +244,10 @@ CampaignService::handleSubmit(const Json &request, std::ostream &out)
         std::lock_guard<std::mutex> lock(outMutex_);
         writeFrame(out, errorFrame(id, err.what()));
         return;
+    } catch (const FatalError &err) {
+        std::lock_guard<std::mutex> lock(outMutex_);
+        writeFrame(out, errorFrame(id, err.what()));
+        return;
     }
     const std::size_t cellCount = campaign.size();
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/rng.hh"
 #include "defense/trr_sampler.hh"
 #include "dram/hammer.hh"
@@ -272,6 +273,29 @@ TEST(PatternFuzzer, OutcomeIsIdenticalAtAnyThreadCount)
         EXPECT_EQ(outcome.best, serial.best) << threads
                                              << " worker(s)";
     }
+}
+
+TEST(PatternFuzzer, ZeroBoundsAreRejectedAtConstruction)
+{
+    // Callers that build FuzzParams directly get the manifest
+    // layer's precondition too, before any pattern is drawn.
+    const auto rejects = [](void (*zero)(fuzz::FuzzParams &)) {
+        fuzz::FuzzParams params = armsRaceParams();
+        zero(params);
+        EXPECT_THROW(fuzz::PatternFuzzer(armsRaceTarget(), params),
+                     FatalError);
+    };
+    rejects([](fuzz::FuzzParams &p) { p.builder.maxPeriod = 0; });
+    rejects([](fuzz::FuzzParams &p) { p.builder.maxSlots = 0; });
+    rejects([](fuzz::FuzzParams &p) { p.builder.maxEntries = 0; });
+    rejects([](fuzz::FuzzParams &p) { p.timing.actsPerInterval = 0; });
+    rejects([](fuzz::FuzzParams &p) { p.timing.refsPerWindow = 0; });
+    rejects([](fuzz::FuzzParams &p) { p.windows = 0; });
+
+    fuzz::BuilderParams builder;
+    builder.maxSlots = 0;
+    EXPECT_THROW(fuzz::PatternBuilder(builder, dram::RefTiming{}),
+                 FatalError);
 }
 
 TEST(FuzzScenario, ArmsRaceManifestLoads)

@@ -16,6 +16,7 @@
 
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "common/rng.hh"
 #include "cta/ptp_zone.hh"
@@ -28,6 +29,21 @@
 
 namespace ctamem {
 namespace {
+
+/**
+ * An enum held in a full 64-bit word. gtest names each
+ * value-parameterized case after the raw bytes of its parameter, and
+ * the padding after a one-byte enum is indeterminate, so a case
+ * struct with such padding gets a different name on every run.
+ */
+template <typename Enum>
+struct WideEnum
+{
+    std::uint64_t raw;
+
+    WideEnum(Enum value) : raw(static_cast<std::uint64_t>(value)) {}
+    operator Enum() const { return static_cast<Enum>(raw); }
+};
 
 // ---------------------------------------------------------------
 // Buddy allocator properties
@@ -160,10 +176,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MonotonicityProperty,
 
 struct ZoneCase
 {
-    dram::CellLayoutKind kind;
+    WideEnum<dram::CellLayoutKind> kind;
     std::uint64_t period;
     std::uint64_t ptpBytes;
 };
+static_assert(std::has_unique_object_representations_v<ZoneCase>);
 
 class PtpZoneProperty : public ::testing::TestWithParam<ZoneCase>
 {
@@ -238,8 +255,9 @@ struct GeometryCase
     std::uint64_t capacity;
     std::uint64_t rowBytes;
     std::uint64_t banks;
-    dram::AddressScheme scheme;
+    WideEnum<dram::AddressScheme> scheme;
 };
+static_assert(std::has_unique_object_representations_v<GeometryCase>);
 
 class GeometryProperty
     : public ::testing::TestWithParam<GeometryCase>

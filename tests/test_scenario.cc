@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "attack/registry.hh"
+#include "common/log.hh"
 #include "defense/registry.hh"
 #include "paging/arch.hh"
 #include "sim/scenario.hh"
@@ -401,6 +402,63 @@ TEST(Scenario, SoftTrrEntersSweepsPurelyByName)
     Machine machine(config);
     ASSERT_NE(machine.observer(), nullptr);
     EXPECT_STREQ(machine.observer()->name(), "SoftTRR");
+}
+
+/**
+ * Parse a machine config whose fuzz block sets @p key to 0; returns
+ * the FatalError message, or "" when the parse was accepted.
+ */
+std::string
+zeroFuzzKeyError(const std::string &key)
+{
+    try {
+        machineConfigFromJson(
+            Json::parse(R"({"fuzz": {")" + key + R"(": 0}})"));
+    } catch (const FatalError &err) {
+        return err.what();
+    }
+    return "";
+}
+
+// Each of these once reached Rng::below(0) (SIGFPE) or ran a search
+// of zero REF intervals; the manifest layer now names the key.
+TEST(FuzzBlock, ZeroMaxPeriodIsRejected)
+{
+    EXPECT_NE(zeroFuzzKeyError("maxPeriod").find("fuzz.maxPeriod"),
+              std::string::npos);
+}
+
+TEST(FuzzBlock, ZeroMaxSlotsIsRejected)
+{
+    EXPECT_NE(zeroFuzzKeyError("maxSlots").find("fuzz.maxSlots"),
+              std::string::npos);
+}
+
+TEST(FuzzBlock, ZeroMaxEntriesIsRejected)
+{
+    EXPECT_NE(zeroFuzzKeyError("maxEntries").find("fuzz.maxEntries"),
+              std::string::npos);
+}
+
+TEST(FuzzBlock, ZeroActsPerIntervalIsRejected)
+{
+    EXPECT_NE(zeroFuzzKeyError("actsPerInterval")
+                  .find("fuzz.actsPerInterval"),
+              std::string::npos);
+}
+
+TEST(FuzzBlock, ZeroRefsPerWindowIsRejected)
+{
+    EXPECT_NE(zeroFuzzKeyError("refsPerWindow").find("fuzz.refsPerWindow"),
+              std::string::npos);
+}
+
+TEST(FuzzBlock, ZeroWindowsIsRejected)
+{
+    EXPECT_NE(zeroFuzzKeyError("windows").find("fuzz.windows"),
+              std::string::npos);
+    // The other keys keep accepting zero (0 = derive the seed).
+    EXPECT_EQ(zeroFuzzKeyError("seed"), "");
 }
 
 } // namespace

@@ -508,6 +508,31 @@ TEST(Service, BadManifestsGetErrorFrames)
     EXPECT_EQ(responses[1].at("type").asString(), "error");
 }
 
+TEST(Service, ZeroFuzzBoundsGetErrorFramesNotACrash)
+{
+    // A zero search bound used to reach Rng::below(0) in a pool
+    // worker and take the daemon down; it is now a submit error.
+    CampaignService service(testServiceConfig());
+    Json fuzz = Json::object();
+    fuzz.set("maxSlots", std::uint64_t{0});
+    Json base = Json::object();
+    base.set("fuzz", std::move(fuzz));
+    Json manifest = tinyManifest();
+    manifest.set("base", std::move(base))
+        .set("attacks", Json::array().push(std::string("fuzz_hammer")));
+
+    const auto responses = roundTrip(
+        service,
+        {submitRequest(manifest, 4), submitRequest(tinyManifest(), 5)});
+    // The error, then the next submission: accepted, 2 cells, done.
+    ASSERT_EQ(responses.size(), 5u);
+    EXPECT_EQ(responses[0].at("type").asString(), "error");
+    EXPECT_NE(
+        responses[0].at("message").asString().find("fuzz.maxSlots"),
+        std::string::npos);
+    EXPECT_EQ(responses.back().at("type").asString(), "done");
+}
+
 TEST(Service, ShutdownAnswersByeAndStops)
 {
     CampaignService service(testServiceConfig());

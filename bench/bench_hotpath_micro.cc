@@ -1,8 +1,9 @@
 /**
  * @file
  * Hot-path microbenchmarks: page-walk rate (TLB off/on), raw DRAM
- * store throughput, and a small Campaign sweep — the three layers the
- * simulated-access fast path crosses.  Emits BENCH_hotpath.json (see
+ * store throughput (sequential and hammer-pass row-stride), and a
+ * small Campaign sweep — the three layers the simulated-access fast
+ * path crosses.  Emits BENCH_hotpath.json (see
  * DESIGN.md "Hot-path architecture") so successive PRs can track the
  * perf trajectory.
  *
@@ -149,6 +150,34 @@ benchDramRead(dram::DramModule &module, std::uint64_t words,
            static_cast<double>(MiB);
 }
 
+/**
+ * Row-stride 64-bit loads over a mostly untouched 256 MiB module, in
+ * reads/s: the hammer pass's access pattern.  Consecutive loads land
+ * in different 128 KiB rows, and 15 of every 16 frames were never
+ * written, so nearly every load looks up a frame that is absent.
+ */
+double
+benchDramReadSparse(std::uint64_t reads)
+{
+    dram::DramConfig config;
+    config.capacity = 256 * MiB;
+    config.banks = 1;
+    dram::DramModule module(config);
+    for (Addr addr = 0; addr < config.capacity; addr += 16 * pageSize)
+        module.writeU64(addr, addr | 1);
+    const std::uint64_t rows = config.capacity / config.rowBytes;
+    std::uint64_t sink = 0;
+    const auto start = Clock::now();
+    for (std::uint64_t i = 0; i < reads; ++i) {
+        const Addr row = (i % rows) * config.rowBytes;
+        sink += module.readU64(row + (i * 8 * 61) % config.rowBytes);
+    }
+    const double wall = secondsSince(start);
+    if (sink == 0)
+        std::cerr << "bench: impossible sink\n";
+    return static_cast<double>(reads) / wall;
+}
+
 /** Monte-Carlo trials/s of one sampler on the boosted headline spec. */
 double
 benchMcTrials(model::Sampler sampler, std::uint64_t trials)
@@ -236,6 +265,11 @@ main(int argc, char **argv)
     const double rd = benchDramRead(module, dram_words, dram_passes);
     report.add("dram_read", rd, "MiB/s", dram_words * dram_passes);
     std::cout << "dram_read:      " << rd << " MiB/s\n";
+
+    const std::uint64_t sparse_reads = smoke ? 64'000 : 16'000'000;
+    const double sparse = benchDramReadSparse(sparse_reads);
+    report.add("dram_read_sparse", sparse, "reads/s", sparse_reads);
+    std::cout << "dram_read_sparse: " << sparse << " reads/s\n";
 
     const std::uint64_t mc_scalar_trials = smoke ? 20'000 : 2'000'000;
     const std::uint64_t mc_batched_trials = smoke ? 64'000 : 8'000'000;

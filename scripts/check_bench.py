@@ -26,9 +26,10 @@ the tolerance.  ``--suite`` picks the gated metric set:
     is wall-clock.  Any cell diff flags a real behavior change; if
     intentional, refresh the baseline.
 
-The DRAM streaming numbers (``dram_read``/``dram_write``) are reported
-for information only — they swing with machine load far beyond any
-real code-level change.
+The DRAM store numbers (``dram_read``/``dram_write`` sequential,
+``dram_read_sparse`` row-stride over absent frames) are reported for
+information only — they swing with machine load far beyond any real
+code-level change.
 
 ``--current`` accepts several reports; each metric uses its best
 value across them (min for lower-is-better, max otherwise).  On a
@@ -74,7 +75,7 @@ GATED = {
     },
 }
 INFORMATIONAL = {
-    "hotpath": ["dram_read", "dram_write"],
+    "hotpath": ["dram_read", "dram_write", "dram_read_sparse"],
     "svc": ["jobs_per_s_cold", "cached_speedup", "cold_boot",
             "snapshot_restore", "snapshot_restore_speedup",
             "cell_latency_p50", "cell_latency_p99"],

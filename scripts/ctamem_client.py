@@ -10,9 +10,13 @@ Commands:
   ping                  liveness round trip
   stats                 print the service counters as JSON --
                         includes the shared row-profile cache
-                        (``profileCache``) and the pattern fuzzer's
-                        progress counters (``fuzz``: runs, patterns
-                        evaluated, generations, bypasses found)
+                        (``profileCache``: hits, misses, evictions,
+                        ``raceLosses`` -- builds discarded because a
+                        concurrent build of the same row landed
+                        first -- entries, capacity) and the pattern
+                        fuzzer's progress counters (``fuzz``: runs,
+                        patterns evaluated, generations, bypasses
+                        found)
   submit MANIFEST...    submit each manifest, stream per-cell
                         progress to stderr, print each report to
                         stdout

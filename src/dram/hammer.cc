@@ -60,7 +60,9 @@ buildProfile(const FaultModel &faults, Addr base, CellType type,
  * sweep, which all boot the same seed — share one scan per row.
  * Sharded mutexes keep campaign worker threads out of each other's
  * way; a racing double-build is harmless (both results are identical)
- * and first-insert-wins.
+ * and first-insert-wins.  The losing builds are counted
+ * (`raceLosses`) rather than prevented: single-flight builds measured
+ * no end-to-end gain (DESIGN.md §6d).
  *
  * Each shard is LRU-bounded: service workloads stream arbitrarily
  * many distinct module configs through one process, and an unbounded
@@ -104,8 +106,10 @@ class ProfileCache
                                   scratch);
         std::lock_guard<std::mutex> lock(shard.mutex);
         auto it = shard.map.find(key);
-        if (it != shard.map.end())
+        if (it != shard.map.end()) {
+            ++shard.raceLosses;
             return it->second.profile; // lost the race: share winner
+        }
         shard.lru.push_front(key);
         shard.map.emplace(key, Entry{built, shard.lru.begin()});
         shard.evictToCapacity(perShardCapacity_);
@@ -121,6 +125,7 @@ class ProfileCache
             total.hits += shard.hits;
             total.misses += shard.misses;
             total.evictions += shard.evictions;
+            total.raceLosses += shard.raceLosses;
             total.entries += shard.map.size();
         }
         total.capacity = perShardCapacity_ * kShards;
@@ -181,6 +186,7 @@ class ProfileCache
         std::uint64_t hits = 0;
         std::uint64_t misses = 0;
         std::uint64_t evictions = 0;
+        std::uint64_t raceLosses = 0;
 
         /** Drop LRU entries until at most @p capacity remain.
          *  Caller holds the shard mutex. */

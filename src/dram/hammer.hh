@@ -474,6 +474,9 @@ struct ProfileCacheStats
     std::uint64_t hits = 0;      //!< profile served from the cache
     std::uint64_t misses = 0;    //!< profile had to be (re)built
     std::uint64_t evictions = 0; //!< LRU entries dropped at capacity
+    /** Misses whose build lost the first-insert race to a concurrent
+     *  build of the same row and was discarded (duplicate work). */
+    std::uint64_t raceLosses = 0;
     std::size_t entries = 0;     //!< profiles currently cached
     std::size_t capacity = 0;    //!< current entry cap
 };

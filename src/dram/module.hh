@@ -55,7 +55,7 @@ class DramModule
     /** @name Data access (logical physical addresses)
      *
      * Inline pass-throughs to the store so the walker's per-level
-     * entry reads compile down to the store's frame-cache fast path.
+     * entry reads compile down to the store's last-frame fast path.
      */
     /** @{ */
     void

@@ -4,29 +4,40 @@
 
 namespace ctamem::dram {
 
-const std::uint8_t *
-SparseStore::peekSlow(Pfn pfn) const
-{
-    auto it = frames_.find(pfn);
-    if (it == frames_.end())
-        return nullptr;
-    cachedPfn_ = pfn;
-    cachedFrame_ = it->second.get();
-    return cachedFrame_;
-}
-
 std::uint8_t *
-SparseStore::touchSlow(Pfn pfn)
+SparseStore::touchSlow(Pfn pfn, bool fill_new)
 {
-    auto it = frames_.find(pfn);
-    if (it == frames_.end()) {
-        auto frame = std::make_unique<std::uint8_t[]>(pageSize);
-        std::memset(frame.get(), fill_, pageSize);
-        it = frames_.emplace(pfn, std::move(frame)).first;
+    const Pfn top = pfn >> kLeafBits;
+    if (top >= dir_.size())
+        dir_.resize(top + 1);
+    if (!dir_[top])
+        dir_[top] = std::make_unique<Leaf>(); // value-init: all null
+    std::uint8_t *&slot = (*dir_[top])[pfn & (kLeafSlots - 1)];
+    if (!slot) {
+        if (slabUsed_ == kSlabFrames) {
+            slabs_.push_back(std::make_unique_for_overwrite<std::uint8_t[]>(
+                kSlabFrames * pageSize));
+            slabUsed_ = 0;
+        }
+        slot = slabs_.back().get() + slabUsed_++ * pageSize;
+        ++frameCount_;
+        if (fill_new)
+            std::memset(slot, fill_, pageSize);
     }
     cachedPfn_ = pfn;
-    cachedFrame_ = it->second.get();
-    return cachedFrame_;
+    cachedFrame_ = slot;
+    return slot;
+}
+
+void
+SparseStore::clear()
+{
+    dir_.clear();
+    slabs_.clear();
+    slabUsed_ = kSlabFrames;
+    frameCount_ = 0;
+    cachedPfn_ = invalidPfn;
+    cachedFrame_ = nullptr;
 }
 
 void
@@ -57,7 +68,10 @@ SparseStore::write(Addr addr, const void *in, std::size_t len)
         const std::size_t offset = addr & pageMask;
         const std::size_t chunk = std::min<std::size_t>(
             len, pageSize - offset);
-        std::memcpy(touch(pfn) + offset, src, chunk);
+        std::uint8_t *frame = chunk == pageSize
+            ? touchSlow(pfn, false)
+            : touch(pfn);
+        std::memcpy(frame + offset, src, chunk);
         src += chunk;
         addr += chunk;
         len -= chunk;
@@ -81,19 +95,19 @@ SparseStore::writeBit(Addr addr, unsigned bit, bool value)
     writeByte(addr, byte);
 }
 
-bool
-SparseStore::touched(Addr addr) const
-{
-    return frames_.contains(addrToPfn(addr));
-}
-
 std::vector<Pfn>
 SparseStore::touchedFrames() const
 {
     std::vector<Pfn> pfns;
-    pfns.reserve(frames_.size());
-    for (const auto &[pfn, frame] : frames_)
-        pfns.push_back(pfn);
+    pfns.reserve(frameCount_);
+    for (Pfn top = 0; top < dir_.size(); ++top) {
+        if (!dir_[top])
+            continue;
+        for (Pfn low = 0; low < kLeafSlots; ++low) {
+            if ((*dir_[top])[low])
+                pfns.push_back((top << kLeafBits) | low);
+        }
+    }
     return pfns;
 }
 

@@ -2,26 +2,30 @@
  * @file
  * Sparse byte-addressable backing store for simulated physical memory.
  *
- * We simulate machines with 8-128 GiB of DRAM; only the frames a test
- * or attack actually touches get materialized (4 KiB at a time).
- * Untouched memory reads as the frame fill pattern.
+ * Only the frames a test or attack actually writes get materialized
+ * (4 KiB at a time); untouched memory reads as the frame fill pattern.
  *
- * Hot-path design: a one-entry last-frame cache (pfn + frame pointer)
- * lets sequential and page-local accesses — page walks hammering the
- * same table frames, streaming workloads — skip the hash lookup, and
- * the word accessors memcpy within a frame instead of going through
- * the byte-wise span loop.  Frame storage is heap-allocated per page,
- * so the cached pointer stays valid across map rehashes; only clear()
- * invalidates it.
+ * Hot-path design: frames are found through a pfn-indexed directory,
+ * a two-level table of 512-slot leaves that grows on demand, so a
+ * lookup is at most two loads whether or not the frame exists — the
+ * hammer pass checks mostly never-written rows, and an absent frame
+ * costs no more than a present one.  A one-entry last-frame pointer
+ * in front of the directory keeps sequential and page-local runs
+ * (page walks re-reading table frames, streaming workloads) to one
+ * compare.  Frame memory comes from per-store slabs of 64 frames that
+ * never move, so directory slots and the cached pointer stay valid
+ * until clear(), which frees every slab at once.  The word accessors
+ * memcpy within a frame instead of going through the byte-wise span
+ * loop.
  */
 
 #ifndef CTAMEM_DRAM_SPARSE_STORE_HH
 #define CTAMEM_DRAM_SPARSE_STORE_HH
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -38,7 +42,11 @@ class SparseStore
     /** Read @p len bytes at @p addr into @p out. */
     void read(Addr addr, void *out, std::size_t len) const;
 
-    /** Write @p len bytes from @p in at @p addr. */
+    /**
+     * Write @p len bytes from @p in at @p addr.  Whole frames covered
+     * by the span are materialized without the fill pattern they would
+     * immediately overwrite.
+     */
     void write(Addr addr, const void *in, std::size_t len);
 
     /** Read one byte. */
@@ -96,56 +104,76 @@ class SparseStore
     void writeBit(Addr addr, unsigned bit, bool value);
 
     /** True iff the frame containing @p addr has been materialized. */
-    bool touched(Addr addr) const;
+    bool
+    touched(Addr addr) const
+    {
+        return lookup(addrToPfn(addr)) != nullptr;
+    }
 
     /** Number of materialized frames. */
-    std::size_t frameCount() const { return frames_.size(); }
+    std::size_t frameCount() const { return frameCount_; }
 
-    /**
-     * Pre-size the frame table for @p frames entries.  Frame pointers
-     * survive rehashes anyway; this only saves the rehash work itself
-     * on workloads that touch many frames.
-     */
-    void reserve(std::size_t frames) { frames_.reserve(frames); }
-
-    /** Frame numbers of all materialized frames (unordered). */
+    /** Frame numbers of all materialized frames, ascending. */
     std::vector<Pfn> touchedFrames() const;
 
     /** Drop every materialized frame (memory returns to fill value). */
-    void
-    clear()
-    {
-        frames_.clear();
-        cachedPfn_ = invalidPfn;
-        cachedFrame_ = nullptr;
-    }
+    void clear();
 
   private:
-    using Frame = std::unique_ptr<std::uint8_t[]>;
+    static constexpr unsigned kLeafBits = 9;
+    static constexpr Pfn kLeafSlots = Pfn{1} << kLeafBits;
+    static constexpr std::size_t kSlabFrames = 64;
+
+    /** Frame pointers of 512 consecutive pfns; null = never written. */
+    using Leaf = std::array<std::uint8_t *, kLeafSlots>;
+
+    /** Directory lookup of @p pfn's frame; nullptr when never written. */
+    std::uint8_t *
+    lookup(Pfn pfn) const
+    {
+        const Pfn top = pfn >> kLeafBits;
+        if (top >= dir_.size() || !dir_[top])
+            return nullptr;
+        return (*dir_[top])[pfn & (kLeafSlots - 1)];
+    }
 
     /** Frame for @p pfn, or nullptr when never written. */
     const std::uint8_t *
     peek(Pfn pfn) const
     {
-        if (pfn == cachedPfn_)
+        if (pfn == cachedPfn_) [[likely]]
             return cachedFrame_;
-        return peekSlow(pfn);
+        std::uint8_t *frame = lookup(pfn);
+        if (frame) {
+            cachedPfn_ = pfn;
+            cachedFrame_ = frame;
+        }
+        return frame;
     }
 
-    /** Frame for @p pfn, materializing it on first use. */
+    /** Frame for @p pfn, materializing it (fill pattern) on first use. */
     std::uint8_t *
     touch(Pfn pfn)
     {
-        if (pfn == cachedPfn_)
+        if (pfn == cachedPfn_) [[likely]]
             return cachedFrame_;
-        return touchSlow(pfn);
+        return touchSlow(pfn, true);
     }
 
-    const std::uint8_t *peekSlow(Pfn pfn) const;
-    std::uint8_t *touchSlow(Pfn pfn);
+    /**
+     * Cache-miss path of touch(): materialize @p pfn's frame if
+     * needed, pre-filled only when @p fill_new is set (a caller about
+     * to overwrite the whole frame passes false).
+     */
+    std::uint8_t *touchSlow(Pfn pfn, bool fill_new);
 
     std::uint8_t fill_;
-    std::unordered_map<Pfn, Frame> frames_;
+    std::vector<std::unique_ptr<Leaf>> dir_;
+    /** Frame memory; a frame's address never changes until clear(). */
+    std::vector<std::unique_ptr<std::uint8_t[]>> slabs_;
+    /** Frames handed out from slabs_.back(). */
+    std::size_t slabUsed_ = kSlabFrames;
+    std::size_t frameCount_ = 0;
 
     /** Last materialized frame hit (never caches absent frames). */
     mutable Pfn cachedPfn_ = invalidPfn;

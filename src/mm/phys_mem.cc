@@ -81,8 +81,8 @@ PhysicalMemory::PhysicalMemory(dram::DramModule &module,
     freesId_ = stats_.registerCounter("frees");
     const std::uint64_t total_frames =
         module.geometry().capacity() / pageSize;
-    // Same rationale as the DRAM store: avoid page-database rehashes
-    // during allocation storms without paying for giant machines.
+    // Avoid page-database rehashes during allocation storms without
+    // paying for giant machines.
     pages_.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(total_frames, 32768)));
     for (const ZoneSpec &spec : specs) {

@@ -1,7 +1,5 @@
 #include "sim/machine.hh"
 
-#include <algorithm>
-
 #include "common/log.hh"
 #include "defense/registry.hh"
 
@@ -73,15 +71,6 @@ Machine::assemble(const kernel::BootImage *image)
     kernel_ = image
         ? std::make_unique<kernel::Kernel>(kconfig, *image)
         : std::make_unique<kernel::Kernel>(kconfig);
-
-    // Campaign workloads (spray, Drammer arenas) touch most of the
-    // module, so pre-size the frame table up front instead of paying
-    // for its rehash cascade mid-sweep.  Deliberately NOT done in
-    // DramModule itself: sparse consumers (the page-walk benches,
-    // small kernel tests) are faster with the load-grown table, whose
-    // bucket array stays cache-resident.
-    kernel_->dram().store().reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(config.memBytes / pageSize, 32768)));
 
     if (spec->makeObserver)
         observer_ = spec->makeObserver(params);

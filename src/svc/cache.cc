@@ -1,5 +1,8 @@
 #include "svc/cache.hh"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -106,18 +109,24 @@ ResultCache::insert(const std::string &key, const json::Json &value)
 
     if (!diskDir_.empty()) {
         // Write-then-rename so a concurrent reader never sees a torn
-        // file; racing writers of the same key write identical bytes.
+        // file.  Racing writers of one key carry different wall-clock
+        // fields, so each writes its own temp file (pid plus a
+        // process-wide counter: unique across threads and processes)
+        // and the last complete rename wins.
+        static std::atomic<std::uint64_t> tmpSerial{0};
         std::error_code ec;
         fs::create_directories(diskDir_, ec);
         const std::string path = diskPath(key);
-        const std::string tmp = path + ".tmp";
-        {
-            std::ofstream file(tmp, std::ios::binary);
-            file.write(dump.data(),
-                       static_cast<std::streamsize>(dump.size()));
-        }
-        fs::rename(tmp, path, ec);
-        if (ec)
+        const std::string tmp = path + "." +
+            std::to_string(::getpid()) + "." +
+            std::to_string(tmpSerial.fetch_add(1)) + ".tmp";
+        std::ofstream file(tmp, std::ios::binary);
+        file.write(dump.data(),
+                   static_cast<std::streamsize>(dump.size()));
+        file.close();
+        if (file)
+            fs::rename(tmp, path, ec);
+        if (!file || ec)
             fs::remove(tmp, ec);
     }
 

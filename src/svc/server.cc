@@ -186,6 +186,7 @@ CampaignService::statsJson()
     profileCache.set("hits", profiles.hits)
         .set("misses", profiles.misses)
         .set("evictions", profiles.evictions)
+        .set("raceLosses", profiles.raceLosses)
         .set("entries", static_cast<std::uint64_t>(profiles.entries))
         .set("capacity",
              static_cast<std::uint64_t>(profiles.capacity));

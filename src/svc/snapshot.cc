@@ -1,6 +1,5 @@
 #include "svc/snapshot.hh"
 
-#include <algorithm>
 #include <string>
 
 #include "common/rng.hh"
@@ -176,8 +175,7 @@ captureSnapshot(sim::Machine &machine)
         snapshot.observerRng = observer->rngState();
 
     const dram::SparseStore &store = machine.dram().store();
-    std::vector<Pfn> pfns = store.touchedFrames();
-    std::sort(pfns.begin(), pfns.end());
+    const std::vector<Pfn> pfns = store.touchedFrames();
     snapshot.frames.reserve(pfns.size());
     for (const Pfn pfn : pfns) {
         MachineSnapshot::Frame frame;

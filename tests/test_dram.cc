@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <set>
+#include <vector>
+
 #include "common/bitops.hh"
 #include "common/log.hh"
 #include "dram/cell_types.hh"
@@ -196,6 +202,155 @@ TEST(SparseStore, FrameCacheSurvivesInterleavingAndClear)
     store.writeByte(0, 9);
     EXPECT_EQ(store.readByte(0), 9);
 }
+
+/**
+ * Randomized model check of SparseStore against a byte map: mixed
+ * spans, frame-straddling words, byte and bit writes, whole-frame
+ * writes onto new and existing frames, and clear(), over addresses
+ * that include leaf boundaries and the top frame of an 8 GiB module.
+ */
+class SparseStoreModel : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(SparseStoreModel, MatchesByteMap)
+{
+    const auto fill = static_cast<std::uint8_t>(GetParam());
+    constexpr Addr kLimit = 8 * GiB;
+    const Pfn top = addrToPfn(kLimit) - 1;
+    const std::vector<Pfn> pfns = {0, 1, 2, 511, 512, 513, 4097,
+                                   top - 1, top};
+
+    SparseStore store(fill);
+    std::map<Addr, std::uint8_t> bytes; // every byte ever written
+    std::set<Pfn> frames;               // every frame materialized
+    std::mt19937_64 rng(0x5eed0000ULL + fill);
+
+    const auto expected = [&](Addr addr) -> std::uint8_t {
+        const auto it = bytes.find(addr);
+        return it == bytes.end() ? fill : it->second;
+    };
+    const auto record = [&](Addr addr, std::uint8_t value) {
+        bytes[addr] = value;
+        frames.insert(addrToPfn(addr));
+    };
+    // An address whose [addr, addr + len) stays below kLimit, biased
+    // toward frame ends so spans and words straddle frames often.
+    const auto pick = [&](std::size_t len) -> Addr {
+        const Pfn pfn = pfns[rng() % pfns.size()];
+        const std::uint64_t offset = rng() % 4 == 0
+            ? pageSize - 1 - rng() % 16
+            : rng() % pageSize;
+        return std::min<Addr>(pfnToAddr(pfn) + offset, kLimit - len);
+    };
+    const auto checkFrames = [&] {
+        ASSERT_EQ(store.frameCount(), frames.size());
+        const std::vector<Pfn> touched = store.touchedFrames();
+        ASSERT_TRUE(std::is_sorted(touched.begin(), touched.end()));
+        ASSERT_EQ(touched,
+                  std::vector<Pfn>(frames.begin(), frames.end()));
+        for (const Pfn pfn : pfns) {
+            ASSERT_EQ(store.touched(pfnToAddr(pfn) + pageMask),
+                      frames.contains(pfn))
+                << "pfn " << pfn;
+        }
+    };
+
+    for (int op = 0; op < 6000; ++op) {
+        switch (rng() % 10) {
+          case 0: { // span write, possibly across frames
+            std::vector<std::uint8_t> data(rng() % (2 * pageSize + 1));
+            for (std::uint8_t &b : data)
+                b = static_cast<std::uint8_t>(rng());
+            const Addr addr = pick(data.size());
+            store.write(addr, data.data(), data.size());
+            for (std::size_t i = 0; i < data.size(); ++i)
+                record(addr + i, data[i]);
+            break;
+          }
+          case 1: { // span read
+            std::vector<std::uint8_t> out(rng() % (2 * pageSize + 1));
+            const Addr addr = pick(out.size());
+            store.read(addr, out.data(), out.size());
+            for (std::size_t i = 0; i < out.size(); ++i)
+                ASSERT_EQ(out[i], expected(addr + i)) << addr + i;
+            break;
+          }
+          case 2: { // word write, straddling or not
+            const Addr addr = pick(8);
+            const std::uint64_t value = rng();
+            store.writeU64(addr, value);
+            for (unsigned i = 0; i < 8; ++i)
+                record(addr + i,
+                       static_cast<std::uint8_t>(value >> (8 * i)));
+            break;
+          }
+          case 3: { // word read
+            const Addr addr = pick(8);
+            std::uint64_t want = 0;
+            for (unsigned i = 0; i < 8; ++i)
+                want |= std::uint64_t{expected(addr + i)} << (8 * i);
+            ASSERT_EQ(store.readU64(addr), want) << addr;
+            break;
+          }
+          case 4: { // byte write and read back
+            const Addr addr = pick(1);
+            const auto value = static_cast<std::uint8_t>(rng());
+            store.writeByte(addr, value);
+            record(addr, value);
+            ASSERT_EQ(store.readByte(addr), value);
+            break;
+          }
+          case 5: { // bit write (materializes even when unchanged)
+            const Addr addr = pick(1);
+            const unsigned bit = rng() % 8;
+            const bool value = rng() & 1;
+            store.writeBit(addr, bit, value);
+            const unsigned mask = 1u << bit;
+            const unsigned byte = expected(addr);
+            record(addr, static_cast<std::uint8_t>(
+                             value ? byte | mask : byte & ~mask));
+            ASSERT_EQ(store.readBit(addr, bit), value);
+            break;
+          }
+          case 6:
+          case 7: { // whole-frame write onto a new or existing frame
+            const Pfn pfn = pfns[rng() % pfns.size()];
+            std::vector<std::uint8_t> data(pageSize);
+            for (std::uint8_t &b : data)
+                b = static_cast<std::uint8_t>(rng());
+            store.write(pfnToAddr(pfn), data.data(), data.size());
+            for (std::size_t i = 0; i < data.size(); ++i)
+                record(pfnToAddr(pfn) + i, data[i]);
+            break;
+          }
+          case 8: { // byte read
+            const Addr addr = pick(1);
+            ASSERT_EQ(store.readByte(addr), expected(addr)) << addr;
+            break;
+          }
+          case 9:
+            if (rng() % 16 == 0) {
+                store.clear();
+                bytes.clear();
+                frames.clear();
+            }
+            break;
+        }
+        if (op % 64 == 0)
+            checkFrames();
+    }
+    checkFrames();
+    for (const Pfn pfn : frames) {
+        std::vector<std::uint8_t> frame(pageSize);
+        store.read(pfnToAddr(pfn), frame.data(), frame.size());
+        for (std::uint64_t i = 0; i < pageSize; ++i)
+            ASSERT_EQ(frame[i], expected(pfnToAddr(pfn) + i));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Fills, SparseStoreModel,
+                         ::testing::Values(0x00, 0xa5));
 
 TEST(FaultModel, VulnerabilityRateMatchesPf)
 {

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "dram/hammer.hh"
 #include "dram/module.hh"
 
@@ -244,6 +247,7 @@ TEST(Hammer, ProfileCacheCountsHitsAndMisses)
     ProfileCacheStats after = profileCacheStats();
     EXPECT_EQ(after.misses - before.misses, 16u);
     EXPECT_EQ(after.hits, before.hits);
+    EXPECT_EQ(after.raceLosses, before.raceLosses); // serial: no race
 
     // A second engine over the same module shares every profile.
     RowHammerEngine second(module);
@@ -252,6 +256,36 @@ TEST(Hammer, ProfileCacheCountsHitsAndMisses)
     after = profileCacheStats();
     EXPECT_EQ(after.hits - before.hits, 16u);
     EXPECT_EQ(after.misses - before.misses, 16u);
+}
+
+TEST(Hammer, ProfileCacheRaceLossesCountDuplicateBuilds)
+{
+    // Engines on several threads profile the same rows at once.  How
+    // many builds race is up to the scheduler, but every miss either
+    // inserted its row's profile or lost the race and was counted.
+    DramConfig config = hammerConfig();
+    config.seed = 0x4ace1055ULL;
+    DramModule module(config);
+    constexpr std::uint64_t kRows = 16;
+    constexpr unsigned kThreads = 4;
+
+    const ProfileCacheStats before = profileCacheStats();
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&module] {
+            RowHammerEngine engine(module);
+            for (std::uint64_t row = 0; row < kRows; ++row)
+                engine.rowProfile(0, row);
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    const ProfileCacheStats after = profileCacheStats();
+
+    const std::uint64_t misses = after.misses - before.misses;
+    const std::uint64_t losses = after.raceLosses - before.raceLosses;
+    EXPECT_EQ(misses - losses, kRows);
+    EXPECT_EQ(after.hits - before.hits + misses, kRows * kThreads);
 }
 
 TEST(Hammer, ProfileCacheShrinkEvictsToCapacity)

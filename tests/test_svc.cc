@@ -11,14 +11,17 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "attack/result.hh"
 #include "common/rng.hh"
 #include "defense/defense.hh"
+#include "dram/hammer.hh"
 #include "sim/scenario.hh"
 #include "svc/cache.hh"
 #include "svc/server.hh"
@@ -195,6 +198,65 @@ TEST(Cache, DiskTierSurvivesTheProcessCache)
     // Second lookup is served from memory.
     ASSERT_TRUE(fresh.lookup("k").has_value());
     EXPECT_EQ(fresh.stats().memHits, 1u);
+}
+
+TEST(Cache, RacingDiskWritersOfOneKeyLeaveOneCompleteEntry)
+{
+    // Writers of one key carry different values (rows hold wall-clock
+    // fields), here of different lengths so that one writer's bytes
+    // over another's would show.  Once one insert has landed, every
+    // disk lookup, during the race and after it, must return one
+    // whole entry, and no writer's temp file may be left behind.
+    TempDir dir("cache-race");
+    constexpr unsigned kWriters = 8;
+    constexpr unsigned kRounds = 32;
+    const auto valueOf = [](std::uint64_t w, std::uint64_t r) {
+        return Json::object()
+            .set("writer", w)
+            .set("round", r)
+            .set("pad", std::string((8 - w) * 16 * 1024, char('a' + w)));
+    };
+    const auto complete = [&](const std::optional<Json> &hit) {
+        if (!hit)
+            return false;
+        const std::uint64_t w = hit->at("writer").asU64();
+        const std::uint64_t r = hit->at("round").asU64();
+        return w < kWriters && r < kRounds && *hit == valueOf(w, r);
+    };
+
+    ResultCache cache(4, dir.path());
+    cache.insert("k", valueOf(0, 0));
+    std::atomic<bool> writing{true};
+    std::atomic<unsigned> torn{0};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 2; ++r) {
+        readers.emplace_back([&] {
+            do {
+                ResultCache fresh(1, dir.path());
+                if (!complete(fresh.lookup("k")))
+                    ++torn;
+            } while (writing);
+        });
+    }
+    std::vector<std::thread> writers;
+    for (unsigned w = 0; w < kWriters; ++w) {
+        writers.emplace_back([&, w] {
+            for (unsigned r = 0; r < kRounds; ++r)
+                cache.insert("k", valueOf(w, r));
+        });
+    }
+    for (std::thread &writer : writers)
+        writer.join();
+    writing = false;
+    for (std::thread &reader : readers)
+        reader.join();
+
+    EXPECT_EQ(torn.load(), 0u);
+    EXPECT_TRUE(complete(ResultCache(1, dir.path()).lookup("k")));
+    for (const auto &entry :
+         std::filesystem::directory_iterator(dir.path())) {
+        EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+    }
 }
 
 // ---------------------------------------------------------------
@@ -386,6 +448,8 @@ TEST(Service, PingStatsAndUnknownTypes)
     EXPECT_EQ(responses[1].at("type").asString(), "stats");
     EXPECT_EQ(responses[1].at("schemaVersion").asU64(),
               sim::kScenarioSchemaVersion);
+    EXPECT_EQ(responses[1].at("profileCache").at("raceLosses").asU64(),
+              dram::profileCacheStats().raceLosses);
     EXPECT_EQ(responses[2].at("type").asString(), "error");
 }
 

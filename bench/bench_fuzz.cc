@@ -15,9 +15,14 @@
  *                   arms-race acceptance property; a drop to 0 means
  *                   the search or the physics regressed, not the box
  *
- * while generations_to_first_bypass and best_flips ride along
- * informationally (they are exact, deterministic values — diffs in
- * them flag an intentional algorithm change, not noise).
+ * and compares exactly
+ *
+ *   replays                      pattern replays the search ran
+ *   best_flips                   flips of the best pattern found
+ *   generations_to_first_bypass  first generation with any flips
+ *
+ * which are deterministic outputs of the counter-seeded search: a
+ * diff in them is a change of work or answers, never noise.
  *
  * Usage: bench_fuzz [--smoke] [--out <path>]
  *   --smoke  tiny population/generation counts (the bench-smoke ctest
@@ -131,6 +136,8 @@ main(int argc, char **argv)
                "generations", outcome.generations);
     report.add("best_flips", static_cast<double>(outcome.bestFlips),
                "flips", outcome.patternsEvaluated);
+    report.add("replays", static_cast<double>(outcome.replays),
+               "replays", outcome.patternsEvaluated);
 
     if (!smoke && outcome.bestFlips == 0) {
         std::cerr << "bench_fuzz: search found no bypass — the "

@@ -81,7 +81,9 @@ cmake --build build-tsan -j "$jobs"
 step "ubsan: RNG / bit-manipulation suites"
 cmake -B build-ubsan -S . -DCTAMEM_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "$jobs"
-(cd build-ubsan && ctest --output-on-failure -L ubsan -j "$jobs")
+# Built recoverable, UBSan only prints a finding unless told to halt.
+(cd build-ubsan && UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --output-on-failure -L ubsan -j "$jobs")
 
 step "asan: mask-engine / sparse-frame suites"
 cmake -B build-asan -S . -DCTAMEM_SANITIZE=address >/dev/null

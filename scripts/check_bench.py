@@ -18,6 +18,10 @@ the tolerance.  ``--suite`` picks the gated metric set:
     patterns_per_s     patterns/s, higher is better
     bypass_found       1.0 when the search still finds a TRR-sampler
                        bypass — deterministic, so any drop is real
+    replays, best_flips, generations_to_first_bypass
+                       compared for EXACT equality in every run: the
+                       search is counter-seeded, so its work and its
+                       answer repeat exactly; a diff is a real change
 
   table1 (bench_table1_attack_matrix vs BENCH_table1.json):
     every "<attack>__<defense>" cell, compared for EXACT equality
@@ -79,9 +83,12 @@ INFORMATIONAL = {
     "svc": ["jobs_per_s_cold", "cached_speedup", "cold_boot",
             "snapshot_restore", "snapshot_restore_speedup",
             "cell_latency_p50", "cell_latency_p99"],
-    # Deterministic search outputs: a diff here flags an intentional
-    # algorithm change, not machine noise, so they stay ungated.
-    "fuzz": ["generations_to_first_bypass", "best_flips"],
+    "fuzz": [],
+}
+# suite -> metrics every current run must match exactly: deterministic
+# work counts and answers, where any diff is a real change.
+EXACT = {
+    "fuzz": ["replays", "best_flips", "generations_to_first_bypass"],
 }
 
 
@@ -187,6 +194,16 @@ def main():
         if verdict == "FAIL":
             failures.append(name)
 
+    for name in EXACT.get(args.suite, []):
+        bval, unit = metric(base, args.baseline, name)
+        for path, rep in currents:
+            cval = metric(rep, path, name)[0]
+            verdict = "ok" if cval == bval else "FAIL"
+            print(f"  {verdict:4} {name:16} base {bval:>14.6g} {unit:>16}"
+                  f"  now {cval:>14.6g}  (exact, {path})")
+            if verdict == "FAIL" and name not in failures:
+                failures.append(name)
+
     for name in informational:
         if name in base and all(name in rep for _, rep in currents):
             bval, unit = metric(base, args.baseline, name)
@@ -201,7 +218,8 @@ def main():
             "fuzz": "bench_fuzz --out BENCH_fuzz.json",
         }[args.suite]
         print(f"check_bench: REGRESSION in {', '.join(failures)} "
-              f"(> {args.tolerance:.0%} worse than baseline). "
+              f"(> {args.tolerance:.0%} worse than baseline, or an "
+              f"exact metric differs). "
               f"If intentional, refresh the baseline with {refresh}.")
         return 1
     print("check_bench: all gated metrics within tolerance")

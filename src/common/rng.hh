@@ -163,6 +163,10 @@ class Rng
     std::uint64_t
     below(std::uint64_t bound)
     {
+        // A power of two has no modulo bias: the rejection threshold
+        // below is 0, so this draws the same one word, divisions-free.
+        if (std::has_single_bit(bound))
+            return next() & (bound - 1);
         // Rejection sampling removes modulo bias.
         const std::uint64_t threshold = (-bound) % bound;
         for (;;) {

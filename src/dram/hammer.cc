@@ -20,6 +20,37 @@ rowKey(std::uint64_t bank, std::uint64_t device_row)
     return (bank << 40) | device_row;
 }
 
+/**
+ * Sort trip thresholds in expected linear time.  They are uniform on
+ * [0, 1), so a counting pass into as many buckets as values leaves
+ * about one value per bucket, and an insertion sort only has to order
+ * within buckets — several times cheaper than a comparison sort.
+ */
+void
+sortThresholds(std::vector<double> &values)
+{
+    const std::size_t n = values.size();
+    const auto bucket = [n](double value) {
+        return std::min(n - 1, static_cast<std::size_t>(value * n));
+    };
+    std::vector<std::size_t> next(n + 1, 0);
+    for (const double value : values)
+        ++next[bucket(value) + 1];
+    for (std::size_t b = 1; b <= n; ++b)
+        next[b] += next[b - 1];
+    std::vector<double> sorted(n);
+    for (const double value : values)
+        sorted[next[bucket(value)]++] = value;
+    for (std::size_t i = 1; i < n; ++i) {
+        const double value = sorted[i];
+        std::size_t j = i;
+        for (; j > 0 && sorted[j - 1] > value; --j)
+            sorted[j] = sorted[j - 1];
+        sorted[j] = value;
+    }
+    values = std::move(sorted);
+}
+
 /** Build the mask profile of one row from the fault model. */
 std::shared_ptr<const RowVulnProfile>
 buildProfile(const FaultModel &faults, Addr base, CellType type,
@@ -227,30 +258,64 @@ DisturbanceEvent::vulnerableCellsIn(std::uint64_t device_row) const
     return engine->rowProfile(bank, device_row).vulnerableCells;
 }
 
-const RowVulnProfile &
-RowHammerEngine::rowProfile(std::uint64_t bank,
-                            std::uint64_t device_row)
+const std::vector<double> &
+RowVulnProfile::sortedThresholds(const FaultModel &faults) const
 {
-    static const RowVulnProfile vacant{};
+    std::call_once(thresholdsOnce_, [&] {
+        thresholds_.reserve(vulnerableCells);
+        for (const MaskWord &mw : words) {
+            for (std::uint64_t rest = mw.vuln; rest; rest &= rest - 1) {
+                const unsigned k = std::countr_zero(rest);
+                thresholds_.push_back(
+                    faults.tripThreshold(base + mw.word * 8ULL + k / 8,
+                                         k % 8));
+            }
+        }
+        sortThresholds(thresholds_);
+    });
+    return thresholds_;
+}
+
+const std::shared_ptr<const RowVulnProfile> *
+RowHammerEngine::profileSlot(std::uint64_t bank,
+                             std::uint64_t device_row)
+{
     // The fault model keys on the *logical* address whose data the
     // device row holds; follow the remap table back.
     const Addr base = module_.rowBase(bank, device_row);
     if (base == ~0ULL)
-        return vacant; // vacated by re-mapping: no logical data
+        return nullptr; // vacated by re-mapping: no logical data
     const CellType type = module_.cellMap().rowType(device_row);
 
     const std::uint64_t key = rowKey(bank, device_row);
     auto it = profiles_.find(key);
     if (it != profiles_.end() && it->second->base == base &&
         it->second->type == type) {
-        return *it->second; // still describes this device row
+        return &it->second; // still describes this device row
     }
     auto shared = ProfileCache::instance().fetch(
         module_.faults(), base, type, module_.geometry().rowBytes(),
         scanBuffer_);
     auto &slot = profiles_[key];
     slot = std::move(shared);
-    return *slot;
+    return &slot;
+}
+
+const RowVulnProfile &
+RowHammerEngine::rowProfile(std::uint64_t bank,
+                            std::uint64_t device_row)
+{
+    static const RowVulnProfile vacant{};
+    const auto *slot = profileSlot(bank, device_row);
+    return slot ? **slot : vacant;
+}
+
+std::shared_ptr<const RowVulnProfile>
+RowHammerEngine::sharedRowProfile(std::uint64_t bank,
+                                  std::uint64_t device_row)
+{
+    const auto *slot = profileSlot(bank, device_row);
+    return slot ? *slot : nullptr;
 }
 
 std::vector<VulnerableBit>

@@ -49,6 +49,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -229,6 +230,12 @@ struct MaskWord
  * at least one vulnerable cell appear, in ascending order.  A pure
  * function of (module seed, error stats, row base address, cell
  * type), which is what makes process-wide sharing sound.
+ *
+ * The profile also carries the row's sorted trip thresholds, derived
+ * on first request only: the pattern fuzzer scores candidates against
+ * them, and rows nobody asks about never pay for the table.  Because
+ * the table lives in the cached profile, its lifetime and bound are
+ * the profile cache's.
  */
 struct RowVulnProfile
 {
@@ -238,6 +245,20 @@ struct RowVulnProfile
     std::vector<MaskWord> words;
     std::uint64_t vulnerableCells = 0;
     std::uint64_t tripSingleCells = 0;
+
+    /**
+     * Trip thresholds of the row's vulnerable cells in ascending
+     * order; empty for a vacated row.  Built once, on the first call,
+     * from @p faults — which must be the fault model the profile was
+     * built from.  Thread-safe: racing first calls all return the one
+     * finished table.
+     */
+    const std::vector<double> &
+    sortedThresholds(const FaultModel &faults) const;
+
+  private:
+    mutable std::once_flag thresholdsOnce_;
+    mutable std::vector<double> thresholds_;
 };
 
 /** Applies RowHammer disturbance to a DramModule. */
@@ -384,6 +405,14 @@ class RowHammerEngine
                                      std::uint64_t device_row);
 
     /**
+     * rowProfile() as a shared reference, for callers that keep a
+     * profile beyond this engine's lifetime; null for a device row
+     * vacated by re-mapping.
+     */
+    std::shared_ptr<const RowVulnProfile>
+    sharedRowProfile(std::uint64_t bank, std::uint64_t device_row);
+
+    /**
      * Compatibility view of a row's vulnerable cells, materialized
      * from the mask profile and sorted by ascending trip threshold
      * with a (column, bit) tie-break — the order the scalar engine
@@ -397,6 +426,13 @@ class RowHammerEngine
     StatGroup &stats() { return stats_; }
 
   private:
+    /**
+     * This engine's cache slot holding the current profile of a
+     * device row (fetched on a miss), or null for a vacated row.
+     */
+    const std::shared_ptr<const RowVulnProfile> *
+    profileSlot(std::uint64_t bank, std::uint64_t device_row);
+
     /** Apply disturbance of @p intensity to one device row. */
     void disturbDeviceRow(std::uint64_t bank, std::uint64_t device_row,
                           double intensity, HammerResult &result);

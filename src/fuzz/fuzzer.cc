@@ -46,38 +46,6 @@ atomicMax(std::atomic<std::uint64_t> &slot, std::uint64_t value)
     }
 }
 
-/**
- * Sort trip thresholds in expected linear time.  They are uniform on
- * [0, 1), so a counting pass into as many buckets as values leaves
- * about one value per bucket, and an insertion sort only has to order
- * within buckets — several times cheaper than a comparison sort on
- * the per-search table build.
- */
-void
-sortThresholds(std::vector<double> &values)
-{
-    const std::size_t n = values.size();
-    const auto bucket = [n](double value) {
-        return std::min(n - 1, static_cast<std::size_t>(value * n));
-    };
-    std::vector<std::size_t> next(n + 1, 0);
-    for (const double value : values)
-        ++next[bucket(value) + 1];
-    for (std::size_t b = 1; b <= n; ++b)
-        next[b] += next[b - 1];
-    std::vector<double> sorted(n);
-    for (const double value : values)
-        sorted[next[bucket(value)]++] = value;
-    for (std::size_t i = 1; i < n; ++i) {
-        const double value = sorted[i];
-        std::size_t j = i;
-        for (; j > 0 && sorted[j - 1] > value; --j)
-            sorted[j] = sorted[j - 1];
-        sorted[j] = value;
-    }
-    values = std::move(sorted);
-}
-
 /** Peak evaluated intensity of every victim row of one replay. */
 class PeakIntensity final : public dram::PressureSink
 {
@@ -168,10 +136,11 @@ PatternFuzzer::PatternFuzzer(FuzzTarget target,
 const PatternFuzzer::ArenaThresholds &
 PatternFuzzer::arenaThresholds() const
 {
-    std::call_once(thresholdsOnce_, [this] {
+    std::call_once(arenaOnce_, [this] {
+        // A vacated arena row holds no data and never flips.
+        static const std::vector<double> vacant;
         dram::DramModule module(target_.dram);
         dram::RowHammerEngine engine(module);
-        const dram::FaultModel &faults = module.faults();
         const std::uint64_t rows = module.geometry().rowsPerBank();
         const std::uint64_t first =
             target_.baseRow > 0 ? target_.baseRow - 1 : 0;
@@ -180,24 +149,15 @@ PatternFuzzer::arenaThresholds() const
         for (std::uint64_t row = first; row < last; ++row) {
             const std::uint64_t device =
                 module.deviceRow(target_.bank, row);
-            const dram::RowVulnProfile &profile =
-                engine.rowProfile(target_.bank, device);
-            std::vector<double> &table = thresholds_[device];
-            if (!profile.mapped)
-                continue;
-            table.reserve(profile.vulnerableCells);
-            for (const dram::MaskWord &mw : profile.words) {
-                for (std::uint64_t rest = mw.vuln; rest;
-                     rest &= rest - 1) {
-                    const unsigned k = std::countr_zero(rest);
-                    table.push_back(faults.tripThreshold(
-                        profile.base + mw.word * 8ULL + k / 8, k % 8));
-                }
-            }
-            sortThresholds(table);
+            auto profile = engine.sharedRowProfile(target_.bank, device);
+            arena_[device] = profile
+                ? &profile->sortedThresholds(module.faults())
+                : &vacant;
+            if (profile)
+                arenaProfiles_.push_back(std::move(profile));
         }
     });
-    return thresholds_;
+    return arena_;
 }
 
 std::uint64_t
@@ -234,10 +194,11 @@ PatternFuzzer::evaluate(const HammeringPattern &pattern) const
                                     intensity);
             continue;
         }
+        const std::vector<double> &thresholds = *table->second;
         flips += static_cast<std::uint64_t>(
-            std::upper_bound(table->second.begin(),
-                             table->second.end(), intensity) -
-            table->second.begin());
+            std::upper_bound(thresholds.begin(), thresholds.end(),
+                             intensity) -
+            thresholds.begin());
     }
     return flips;
 }
@@ -270,16 +231,21 @@ PatternFuzzer::run(runtime::ThreadPool *pool)
     std::vector<std::uint64_t> ranked(population);
 
     for (std::uint64_t g = 0; g < params_.generations; ++g) {
+        // Elites carried over verbatim keep their scores — evaluate()
+        // is a pure function of the pattern — so only the new
+        // candidates are replayed.
+        const std::uint64_t fresh = g == 0 ? 0 : elite;
         const auto score = [&](std::uint64_t i) {
             flips[i] = evaluate(current[i]);
         };
         if (pool) {
-            pool->parallelFor(0, population, score, /*grain=*/1);
+            pool->parallelFor(fresh, population, score, /*grain=*/1);
         } else {
-            for (std::uint64_t i = 0; i < population; ++i)
+            for (std::uint64_t i = fresh; i < population; ++i)
                 score(i);
         }
         outcome.patternsEvaluated += population;
+        outcome.replays += population - fresh;
         ++outcome.generations;
 
         // Rank by flips; hash then index tie-breaks keep the order —
@@ -315,8 +281,11 @@ PatternFuzzer::run(runtime::ThreadPool *pool)
         // crossover + mutation children of the top half.
         std::vector<HammeringPattern> next;
         next.reserve(population);
-        for (std::uint64_t i = 0; i < elite; ++i)
+        std::vector<std::uint64_t> carried(population);
+        for (std::uint64_t i = 0; i < elite; ++i) {
             next.push_back(current[ranked[i]]);
+            carried[i] = flips[ranked[i]];
+        }
         for (std::uint64_t i = elite; i < population; ++i) {
             Rng rng(deriveSeed(seed_, (g + 1) * kGenStride + i));
             const HammeringPattern &pa =
@@ -327,6 +296,7 @@ PatternFuzzer::run(runtime::ThreadPool *pool)
                 builder_.mutate(builder_.crossover(pa, pb, rng), rng));
         }
         current = std::move(next);
+        flips = std::move(carried);
     }
 
     FuzzCounters &c = counters();

@@ -9,9 +9,12 @@
  * target) against a freshly built defense observer, and survivors
  * are selected on flips induced.  Scoring needs no backing store:
  * evaluate() counts the cells the replay's peak per-row intensities
- * trip in a flip-ready arena, from trip-threshold tables built once
- * per search.  All randomness is counter-seeded — child i of
- * generation g draws from Rng(deriveSeed(seed, g * stride + i)) —
+ * trip in a flip-ready arena, from the sorted trip thresholds the
+ * arena's cached row profiles carry.  A score is a pure function of
+ * the pattern, so elites that survive a generation verbatim keep
+ * theirs instead of being replayed.  All randomness is
+ * counter-seeded — child i of generation g draws from
+ * Rng(deriveSeed(seed, g * stride + i)) —
  * and results merge by population index, so the best pattern is
  * bit-identical whether evaluations run serially or on any
  * runtime::ThreadPool width (the campaign determinism contract).
@@ -71,7 +74,10 @@ struct FuzzTarget
     std::uint64_t baseRow = 8; //!< arena start (entry offsets add)
     /**
      * Builds one defense observer per evaluation (each candidate
-     * faces a fresh mitigation state).  Null = undefended module.
+     * faces a fresh mitigation state).  Every call must return an
+     * observer in the same initial state — the determinism contract
+     * already requires it, and the search relies on it to carry
+     * elite scores.  Null = undefended module.
      */
     std::function<std::unique_ptr<dram::DisturbanceObserver>()>
         makeObserver;
@@ -82,7 +88,13 @@ struct FuzzOutcome
 {
     HammeringPattern best;
     std::uint64_t bestFlips = 0;
+    /** Candidates ranked: population x generations. */
     std::uint64_t patternsEvaluated = 0;
+    /**
+     * Replays actually run: the whole first generation, then only
+     * each later generation's non-elite children.
+     */
+    std::uint64_t replays = 0;
     std::uint64_t generations = 0;
     /** First generation with any flips; ~0 when never bypassed. */
     std::uint64_t firstBypassGeneration = ~0ULL;
@@ -111,8 +123,10 @@ class PatternFuzzer
      * materializing that replica: in such an arena each cell flips at
      * most once and the tripped sets nest by threshold, so a row's
      * flips are its flip-ready cells with threshold <= the peak
-     * intensity its pressure reached.  Thread-safe; the first call
-     * builds the arena's threshold tables.
+     * intensity its pressure reached.  Thread-safe and a pure
+     * function of @p pattern.  The first call resolves the arena's
+     * row profiles, whose threshold tables are built once per
+     * profile and shared by every search over the same module.
      */
     std::uint64_t evaluate(const HammeringPattern &pattern) const;
 
@@ -120,19 +134,24 @@ class PatternFuzzer
     std::uint64_t seed() const { return seed_; }
 
   private:
-    /** Sorted trip thresholds of each primed arena device row. */
+    /**
+     * Sorted trip thresholds of each primed arena device row, owned
+     * by the row profiles arenaProfiles_ keeps alive.
+     */
     using ArenaThresholds =
-        std::unordered_map<std::uint64_t, std::vector<double>>;
+        std::unordered_map<std::uint64_t, const std::vector<double> *>;
 
-    /** The arena's tables, built on first use (once per search). */
+    /** The arena's tables, resolved on first use. */
     const ArenaThresholds &arenaThresholds() const;
 
     FuzzTarget target_;
     FuzzParams params_;
     PatternBuilder builder_;
     std::uint64_t seed_;
-    mutable std::once_flag thresholdsOnce_;
-    mutable ArenaThresholds thresholds_;
+    mutable std::once_flag arenaOnce_;
+    mutable std::vector<std::shared_ptr<const dram::RowVulnProfile>>
+        arenaProfiles_;
+    mutable ArenaThresholds arena_;
 };
 
 /** @name Process-wide fuzzer progress counters

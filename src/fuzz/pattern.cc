@@ -198,25 +198,45 @@ runPattern(dram::RowHammerEngine &engine,
                   const std::uint64_t sr = pattern.entries[rhs].slot;
                   return sl != sr ? sl < sr : lhs < rhs;
               });
-    // Each entry fires on the intervals t with
-    // t % frequency == phase % frequency; tracking the next such
-    // interval keeps divisions out of the interval loop.
-    std::vector<std::uint64_t> next(pattern.entries.size());
-    for (std::size_t i = 0; i < next.size(); ++i) {
-        const PatternEntry &entry = pattern.entries[i];
-        next[i] = entry.phase % entry.frequency;
+    // Entry i fires on the intervals t with t % frequency ==
+    // phase % frequency, so which entries fire, and how the interval's
+    // budget clamps their bursts, depends only on t modulo the lcm of
+    // the frequencies.  Compile that period's burst lists once; past
+    // the run's length nothing repeats, which also caps the lcm
+    // before it can overflow.
+    std::uint64_t period = 1;
+    for (const PatternEntry &entry : pattern.entries) {
+        const std::uint64_t step =
+            period / std::gcd(period, entry.frequency);
+        if (step > intervals / entry.frequency) {
+            period = intervals;
+            break;
+        }
+        period = step * entry.frequency;
     }
 
-    for (std::uint64_t t = 0; t < intervals; ++t) {
+    struct Burst
+    {
+        std::uint64_t row;
+        std::uint64_t acts;
+        std::uint64_t position;
+    };
+    std::vector<Burst> bursts;
+    // Residue r's bursts are bursts[starts[r], starts[r + 1]).
+    std::vector<std::size_t> starts;
+    starts.reserve(period + 1);
+    for (std::uint64_t residue = 0; residue < period; ++residue) {
+        starts.push_back(bursts.size());
         std::uint64_t budget = timing.actsPerInterval;
         std::uint64_t position = 0;
         for (const std::uint64_t index : order) {
-            if (next[index] != t)
-                continue; // not this entry's interval
             const PatternEntry &entry = pattern.entries[index];
-            next[index] += entry.frequency;
-            const std::uint64_t bursts = entry.pairGap ? 2 : 1;
-            for (std::uint64_t burst = 0; burst < bursts; ++burst) {
+            if (residue % entry.frequency !=
+                entry.phase % entry.frequency) {
+                continue; // not this entry's interval
+            }
+            const std::uint64_t count = entry.pairGap ? 2 : 1;
+            for (std::uint64_t burst = 0; burst < count; ++burst) {
                 if (budget == 0)
                     break;
                 const std::uint64_t row = run.baseRow +
@@ -224,15 +244,25 @@ runPattern(dram::RowHammerEngine &engine,
                                           burst * entry.pairGap;
                 const std::uint64_t acts =
                     std::min(entry.activations, budget);
-                if (row < rows) {
-                    engine.activate(run.bank, row, acts, position,
-                                    result);
-                }
+                if (row < rows)
+                    bursts.push_back(Burst{row, acts, position});
                 budget -= acts;
                 ++position;
             }
         }
+    }
+    starts.push_back(bursts.size());
+
+    std::uint64_t residue = 0;
+    for (std::uint64_t t = 0; t < intervals; ++t) {
+        for (std::size_t b = starts[residue]; b < starts[residue + 1];
+             ++b) {
+            engine.activate(run.bank, bursts[b].row, bursts[b].acts,
+                            bursts[b].position, result);
+        }
         engine.refTick(run.bank, result);
+        if (++residue == period)
+            residue = 0;
     }
     engine.drainPressure(run.bank, result);
     return result;

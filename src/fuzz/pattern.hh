@@ -135,7 +135,9 @@ struct PatternRun
  * ascending (slot, entry index) order — clamped to the interval's
  * activation budget — then retire one REF.  Outstanding pressure is
  * drained (evaluated) at the end, so a one-window run still counts
- * the flips of rows whose refresh slot already passed.
+ * the flips of rows whose refresh slot already passed.  The schedule
+ * repeats with the lcm of the entry frequencies, so it is compiled
+ * to one burst list per residue of that period before the replay.
  */
 dram::HammerResult runPattern(dram::RowHammerEngine &engine,
                               const HammeringPattern &pattern,

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/bench_report.hh"
 #include "common/bitops.hh"
@@ -106,6 +107,41 @@ TEST(Rng, BelowIsInRange)
         seen.insert(v);
     }
     EXPECT_EQ(seen.size(), 17u); // all residues hit
+}
+
+TEST(Rng, BelowMatchesTheRejectionLoopOnEveryBound)
+{
+    // The rejection loop below() used for every bound; its power-of-
+    // two shortcut must draw the same values and leave the same state.
+    const auto rejection = [](Rng &rng, std::uint64_t bound) {
+        const std::uint64_t threshold = (-bound) % bound;
+        for (;;) {
+            const std::uint64_t r = rng.next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    };
+    std::vector<std::uint64_t> bounds;
+    for (unsigned k = 0; k < 64; ++k)
+        bounds.push_back(1ULL << k);
+    for (const std::uint64_t bound :
+         {3ULL, 5ULL, 6ULL, 7ULL, 12ULL, 17ULL, 1000ULL, 0x3000ULL,
+          (1ULL << 63) + 1, (1ULL << 63) + (1ULL << 62), ~0ULL}) {
+        bounds.push_back(bound);
+    }
+    for (const std::uint64_t seed : {1ULL, 77ULL, 0x5eedULL}) {
+        for (const std::uint64_t bound : bounds) {
+            Rng fast(deriveSeed(seed, bound));
+            Rng slow(deriveSeed(seed, bound));
+            for (int i = 0; i < 10'000; ++i) {
+                const std::uint64_t v = fast.below(bound);
+                ASSERT_EQ(v, rejection(slow, bound))
+                    << "bound " << bound << " draw " << i;
+                ASSERT_LT(v, bound);
+            }
+            EXPECT_EQ(fast.state(), slow.state()) << "bound " << bound;
+        }
+    }
 }
 
 TEST(Rng, BernoulliMaskEmpiricalFrequency)

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/log.hh"
 #include "common/rng.hh"
 #include "defense/trr_sampler.hh"
@@ -273,6 +274,68 @@ TEST(PatternFuzzer, OutcomeIsIdenticalAtAnyThreadCount)
         EXPECT_EQ(outcome.best, serial.best) << threads
                                              << " worker(s)";
     }
+}
+
+/**
+ * Thirty searches on the trr-arms-race target — the scenario's own
+ * search seed, then 29 derived ones — serially and on a four-worker
+ * pool.  Each record holds the search seed and what the search found.
+ */
+json::Json
+captureSearchOutcomes(std::vector<fuzz::FuzzOutcome> &outcomes)
+{
+    runtime::ThreadPool pool(4);
+    json::Json records = json::Json::array();
+    for (std::uint64_t i = 0; i < 30; ++i) {
+        fuzz::FuzzParams params = armsRaceParams();
+        params.seed = i == 0 ? 0 : deriveSeed(0xf0c5, i);
+        fuzz::PatternFuzzer serial(armsRaceTarget(), params);
+        fuzz::PatternFuzzer pooled(armsRaceTarget(), params);
+        outcomes.push_back(serial.run());
+        outcomes.push_back(pooled.run(&pool));
+        for (const fuzz::FuzzOutcome *outcome :
+             {&outcomes[outcomes.size() - 2], &outcomes.back()}) {
+            json::Json record = json::Json::object();
+            record.set("seed", serial.seed())
+                .set("bestFlips", outcome->bestFlips)
+                .set("bestHash", outcome->best.hash())
+                .set("firstBypassGeneration",
+                     outcome->firstBypassGeneration)
+                .set("patternsEvaluated", outcome->patternsEvaluated);
+            records.push(std::move(record));
+        }
+    }
+    return records;
+}
+
+TEST(PatternFuzzer, SearchOutcomesMatchTheCheckedInGolden)
+{
+    // Captured before elite scores were carried between generations
+    // and replays were compiled to their period: both must leave
+    // every search's answer as it was.
+    std::vector<fuzz::FuzzOutcome> outcomes;
+    const json::Json actual = captureSearchOutcomes(outcomes);
+    const json::Json golden =
+        json::Json::parseFile(repoPath("tests/golden/fuzz_outcomes.json"));
+    ASSERT_EQ(golden.size(), actual.size());
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+        EXPECT_EQ(actual.items()[i], golden.items()[i])
+            << "search " << i / 2 << (i % 2 ? " (pool)" : " (serial)")
+            << ": " << actual.items()[i].dump();
+    }
+
+    // Only the non-elite children of later generations are replayed.
+    const fuzz::FuzzParams params = armsRaceParams();
+    const std::uint64_t elite = params.population / 4;
+    const std::uint64_t replays =
+        params.population +
+        (params.generations - 1) * (params.population - elite);
+    EXPECT_EQ(replays, 57u);
+    for (const fuzz::FuzzOutcome &outcome : outcomes)
+        EXPECT_EQ(outcome.replays, replays);
+    // The scenario's own search still finds its bypass at once.
+    EXPECT_EQ(outcomes[0].bestFlips, 1288u);
+    EXPECT_EQ(outcomes[0].firstBypassGeneration, 0u);
 }
 
 TEST(PatternFuzzer, ZeroBoundsAreRejectedAtConstruction)

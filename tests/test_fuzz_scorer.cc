@@ -14,7 +14,8 @@
  * edge targets — the bank's first row, an arena running into the
  * bank's last row, one- and two-row arenas whose patterns reach rows
  * outside the primed range, two refresh windows, mixed cell types and
- * an undefended module.
+ * an undefended module.  A race test covers the trip-threshold tables
+ * the scorer reads from the shared row profiles.
  */
 
 #include <gtest/gtest.h>
@@ -245,26 +246,62 @@ TEST(FuzzScorer, MatchesWithoutAnObserver)
     EXPECT_GT(expectEquivalent(target, edgeParams(16), 150), 0u);
 }
 
-TEST(FuzzScorer, ConcurrentFirstUseBuildsOneTable)
+TEST(FuzzScorer, ConcurrentFirstUseSortsEachProfileOnce)
 {
-    // The threshold tables are built inside the first evaluation;
-    // racing first evaluations must all see the finished tables.
+    // A module seed no other test uses, so these profiles' threshold
+    // tables do not exist yet: racing first requests — from bare
+    // threads and from two searches' evaluations — must all see one
+    // finished table per profile.
+    fuzz::FuzzTarget target = armsRaceTarget();
+    target.dram.seed = 0x51ab0e;
     const fuzz::FuzzParams params = armsRaceParams();
+
+    dram::DramModule module(target.dram);
+    dram::RowHammerEngine engine(module);
+    std::vector<std::shared_ptr<const dram::RowVulnProfile>> profiles;
+    for (std::uint64_t row = 0; row < 48; ++row)
+        profiles.push_back(engine.sharedRowProfile(0, row));
+
+    runtime::ThreadPool pool(4);
+    std::vector<const std::vector<double> *> seen(4 * profiles.size());
+    pool.parallelFor(
+        0, seen.size(),
+        [&](std::uint64_t i) {
+            seen[i] = &profiles[i % profiles.size()]->sortedThresholds(
+                module.faults());
+        },
+        /*grain=*/1);
+
     const std::vector<fuzz::HammeringPattern> patterns =
         candidates(params, 28);
-    const fuzz::PatternFuzzer serial(armsRaceTarget(), params);
-    std::vector<std::uint64_t> expected;
-    for (const fuzz::HammeringPattern &pattern : patterns)
-        expected.push_back(serial.evaluate(pattern));
-
-    const fuzz::PatternFuzzer shared(armsRaceTarget(), params);
-    std::vector<std::uint64_t> scores(patterns.size());
-    runtime::ThreadPool pool(4);
+    const fuzz::PatternFuzzer first(target, params);
+    const fuzz::PatternFuzzer second(target, params);
+    std::vector<std::uint64_t> scores(2 * patterns.size());
     pool.parallelFor(
-        0, patterns.size(),
-        [&](std::uint64_t i) { scores[i] = shared.evaluate(patterns[i]); },
+        0, scores.size(),
+        [&](std::uint64_t i) {
+            const fuzz::PatternFuzzer &fuzzer = i % 2 ? second : first;
+            scores[i] = fuzzer.evaluate(patterns[i / 2]);
+        },
         /*grain=*/1);
-    EXPECT_EQ(scores, expected);
+
+    for (std::size_t p = 0; p < profiles.size(); ++p) {
+        // The table is the row's vulnerable cells' thresholds, sorted.
+        std::vector<double> expected;
+        for (const dram::VulnerableBit &cell : engine.vulnerableBits(0, p))
+            expected.push_back(cell.threshold);
+        for (std::size_t i = p; i < seen.size(); i += profiles.size()) {
+            EXPECT_EQ(seen[i], seen[p]) << "row " << p;
+        }
+        EXPECT_EQ(*seen[p], expected) << "row " << p;
+        EXPECT_EQ(&profiles[p]->sortedThresholds(module.faults()),
+                  seen[p]);
+    }
+    for (std::size_t i = 0; i < scores.size(); ++i) {
+        EXPECT_EQ(scores[i],
+                  storeReplayScore(target, params, patterns[i / 2]))
+            << "candidate " << i / 2;
+    }
 }
 
 } // namespace

@@ -12,13 +12,21 @@
  * bookkeeping that moves a single flip, counter or event shows up
  * there.  Two focused tests cover bank isolation of the REF and drain
  * walks and TRR targets past the top of the bank.
+ *
+ * The schedule oracle keeps runPattern's original per-interval loop —
+ * every entry tested against every interval — and checks that the
+ * compiled replay, which precomputes one burst list per residue of the
+ * frequencies' period, issues the identical onHammer/onRef sequence
+ * and returns the identical result.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -252,6 +260,248 @@ TEST(TimedPath, TrrTargetsPastTheTopRowAreCountedNotStored)
     EXPECT_EQ(engine.stats().value("trrRefreshes"), 4u);
     EXPECT_EQ(engine.pendingPressureRows(), 0u);
     EXPECT_EQ(result.total(), 0u);
+}
+
+/**
+ * runPattern as it was before the replay was compiled to its period:
+ * every interval tests every entry for its firing interval.  Kept
+ * verbatim as the schedule oracle.
+ */
+dram::HammerResult
+referenceRunPattern(dram::RowHammerEngine &engine,
+                    const fuzz::HammeringPattern &pattern,
+                    const fuzz::PatternRun &run)
+{
+    dram::HammerResult result;
+    const dram::RefTiming &timing = engine.refTiming();
+    const std::uint64_t rows =
+        engine.module().geometry().rowsPerBank();
+    const std::uint64_t intervals =
+        run.windows * timing.refsPerWindow;
+
+    std::vector<std::uint64_t> order(pattern.entries.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint64_t lhs, std::uint64_t rhs) {
+                  const std::uint64_t sl = pattern.entries[lhs].slot;
+                  const std::uint64_t sr = pattern.entries[rhs].slot;
+                  return sl != sr ? sl < sr : lhs < rhs;
+              });
+    std::vector<std::uint64_t> next(pattern.entries.size());
+    for (std::size_t i = 0; i < next.size(); ++i) {
+        const fuzz::PatternEntry &entry = pattern.entries[i];
+        next[i] = entry.phase % entry.frequency;
+    }
+
+    for (std::uint64_t t = 0; t < intervals; ++t) {
+        std::uint64_t budget = timing.actsPerInterval;
+        std::uint64_t position = 0;
+        for (const std::uint64_t index : order) {
+            if (next[index] != t)
+                continue;
+            const fuzz::PatternEntry &entry = pattern.entries[index];
+            next[index] += entry.frequency;
+            const std::uint64_t bursts = entry.pairGap ? 2 : 1;
+            for (std::uint64_t burst = 0; burst < bursts; ++burst) {
+                if (budget == 0)
+                    break;
+                const std::uint64_t row = run.baseRow +
+                                          entry.rowOffset +
+                                          burst * entry.pairGap;
+                const std::uint64_t acts =
+                    std::min(entry.activations, budget);
+                if (row < rows) {
+                    engine.activate(run.bank, row, acts, position,
+                                    result);
+                }
+                budget -= acts;
+                ++position;
+            }
+        }
+        engine.refTick(run.bank, result);
+    }
+    engine.drainPressure(run.bank, result);
+    return result;
+}
+
+/**
+ * Records every burst and REF the engine announces, in order, then
+ * defers to a TRR sampler so targeted refreshes shape the result.
+ */
+class ScheduleRecorder final : public dram::DisturbanceObserver
+{
+  public:
+    explicit ScheduleRecorder(std::uint64_t seed) : trr_(1, 2, seed) {}
+
+    bool
+    onHammer(const dram::DisturbanceEvent &event) override
+    {
+        calls.push_back({event.refInterval, event.aggressorRow,
+                         event.activations, event.phase});
+        return trr_.onHammer(event);
+    }
+
+    void
+    onRef(const dram::RefEvent &event,
+          std::vector<std::uint64_t> &refresh_rows) override
+    {
+        calls.push_back({event.interval, ~0ULL, 0, 0}); // a REF
+        trr_.onRef(event, refresh_rows);
+    }
+
+    /** (interval, aggressor row or ~0 for a REF, acts, phase). */
+    std::vector<std::array<std::uint64_t, 4>> calls;
+
+  private:
+    defense::TrrSamplerObserver trr_;
+};
+
+/**
+ * Replay one pattern both ways on fresh engines and compare all;
+ * adds the flips and bursts the replay produced to @p flips and
+ * @p bursts.
+ */
+void
+expectSameSchedule(const fuzz::HammeringPattern &pattern,
+                   const dram::RefTiming &timing,
+                   const fuzz::PatternRun &run, std::uint64_t seed,
+                   std::uint64_t &flips, std::uint64_t &bursts)
+{
+    struct Side
+    {
+        dram::DramModule module{twoBankConfig()};
+        ScheduleRecorder recorder;
+        dram::RowHammerEngine engine{module, &recorder};
+        explicit Side(std::uint64_t s) : recorder(s) {}
+    };
+    Side compiled(seed), reference(seed);
+    const std::uint64_t rows = compiled.module.geometry().rowsPerBank();
+    const std::uint64_t first = run.baseRow > 0 ? run.baseRow - 1 : 0;
+    const std::uint64_t last = std::min(rows, run.baseRow + 40);
+    for (Side *side : {&compiled, &reference}) {
+        fillRows(side->module, run.bank, first, last,
+                 static_cast<std::uint8_t>(seed));
+        side->engine.setRefTiming(timing);
+        side->engine.setRecordEvents(true);
+    }
+
+    const dram::HammerResult got =
+        fuzz::runPattern(compiled.engine, pattern, run);
+    const dram::HammerResult want =
+        referenceRunPattern(reference.engine, pattern, run);
+    ASSERT_EQ(compiled.recorder.calls, reference.recorder.calls)
+        << "pattern hash " << pattern.hash();
+    EXPECT_EQ(got.flips10, want.flips10);
+    EXPECT_EQ(got.flips01, want.flips01);
+    EXPECT_EQ(got.suppressed, want.suppressed);
+    flips += got.total();
+    bursts += std::count_if(
+        compiled.recorder.calls.begin(), compiled.recorder.calls.end(),
+        [](const std::array<std::uint64_t, 4> &call) {
+            return call[1] != ~0ULL;
+        });
+    ASSERT_EQ(got.events.size(), want.events.size());
+    for (std::size_t i = 0; i < got.events.size(); ++i) {
+        EXPECT_EQ(got.events[i].addr, want.events[i].addr);
+        EXPECT_EQ(got.events[i].bit, want.events[i].bit);
+        EXPECT_EQ(got.events[i].dir, want.events[i].dir);
+    }
+}
+
+/** Families, then @p count random, mutant and crossover patterns. */
+std::vector<fuzz::HammeringPattern>
+schedulePatterns(const fuzz::BuilderParams &params,
+                 const dram::RefTiming &timing, std::uint64_t count)
+{
+    const fuzz::PatternBuilder builder(params, timing);
+    std::vector<fuzz::HammeringPattern> patterns;
+    for (const std::string &family : fuzz::patternFamilies())
+        patterns.push_back(builder.family(family));
+    for (std::uint64_t i = 0; i < count; ++i) {
+        Rng rng(deriveSeed(0x5c4e, i));
+        const fuzz::HammeringPattern a = builder.random(rng);
+        switch (i % 3) {
+          case 0: patterns.push_back(a); break;
+          case 1: patterns.push_back(builder.mutate(a, rng)); break;
+          default:
+            patterns.push_back(builder.mutate(
+                builder.crossover(a, builder.random(rng), rng), rng));
+        }
+    }
+    return patterns;
+}
+
+TEST(TimedPath, CompiledReplayIssuesTheReferenceSchedule)
+{
+    const fuzz::BuilderParams params{kArenaRows, 8, 4, 12};
+    const std::vector<fuzz::HammeringPattern> patterns =
+        schedulePatterns(params, kTiming, 1000);
+    std::uint64_t flips = 0, bursts = 0;
+    for (std::uint64_t i = 0; i < patterns.size(); ++i) {
+        fuzz::PatternRun run;
+        run.bank = i % 2;
+        run.baseRow = 1 + 97 * i % 3000;
+        expectSameSchedule(patterns[i], kTiming, run, i, flips, bursts);
+    }
+    // The oracle is only as good as the schedule it exercises.
+    EXPECT_GT(flips, 1000u);
+    EXPECT_GT(bursts, 100'000u);
+}
+
+TEST(TimedPath, CompiledReplayMatchesOnScheduleEdges)
+{
+    std::uint64_t flips = 0, bursts = 0;
+    // A period longer than the run: lcm(frequencies <= 13) exceeds
+    // 8 intervals, so the compiled period is capped at the run.
+    {
+        const dram::RefTiming timing{8, 400};
+        const fuzz::BuilderParams params{kArenaRows, 8, 13, 6};
+        for (const fuzz::HammeringPattern &pattern :
+             schedulePatterns(params, timing, 120)) {
+            fuzz::PatternRun run;
+            run.baseRow = 50;
+            expectSameSchedule(pattern, timing, run, 3, flips, bursts);
+            run.windows = 2;
+            expectSameSchedule(pattern, timing, run, 4, flips, bursts);
+        }
+    }
+
+    const dram::RefTiming tight{16, 7};
+    fuzz::HammeringPattern pattern;
+    pattern.entries = {
+        // budget 7: 4 + 3 exhausts it mid-pair ...
+        fuzz::PatternEntry{0, 2, 1, 0, 0, 4},
+        // ... so this single-sided entry never fires in interval 0
+        fuzz::PatternEntry{9, 0, 1, 0, 1, 2},
+        // single-sided, phase past its frequency, zero activations
+        fuzz::PatternEntry{5, 0, 3, 5, 0, 0},
+        fuzz::PatternEntry{12, 0, 5, 2, 2, 3},
+        fuzz::PatternEntry{3, 2, 11, 7, 0, 1},
+    };
+    const std::uint64_t rows = 4096;
+    for (const std::uint64_t base :
+         {std::uint64_t{0}, std::uint64_t{200}, rows - 6, rows - 1}) {
+        fuzz::PatternRun run;
+        run.bank = 1;
+        run.baseRow = base; // the last two reach past the last row
+        for (const std::uint64_t windows : {1, 2}) {
+            run.windows = windows;
+            expectSameSchedule(pattern, tight, run, base + windows, flips,
+                               bursts);
+            expectSameSchedule(pattern, kTiming, run, base, flips, bursts);
+        }
+    }
+    // Budget-exhausting random patterns over two windows.
+    const fuzz::BuilderParams params{kArenaRows, 8, 4, 12};
+    for (const fuzz::HammeringPattern &random :
+         schedulePatterns(params, tight, 150)) {
+        fuzz::PatternRun run;
+        run.baseRow = rows - kArenaRows / 2;
+        run.windows = 2;
+        expectSameSchedule(random, tight, run, 9, flips, bursts);
+    }
+    // Budgets this small flip nothing: the schedule is the check.
+    EXPECT_GT(bursts, 10'000u);
 }
 
 } // namespace

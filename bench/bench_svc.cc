@@ -2,8 +2,8 @@
  * @file
  * Campaign-service benchmarks: per-cell throughput of a cold
  * submission vs a fully cached resubmission, the result-cache hit
- * rate, snapshot-restore vs cold-boot machine start, and the cold
- * run's p50/p99 cell latency.  Emits BENCH_svc.json (gated by
+ * rate, the cold-boot machine start, and the cold run's p50/p99 cell
+ * latency.  Emits BENCH_svc.json (gated by
  * scripts/check_bench.py --suite svc).
  *
  * The workload is the paper-default Table-1 grid — the same manifest
@@ -31,7 +31,6 @@
 #include "sim/scenario.hh"
 #include "sim/scenarios.hh"
 #include "svc/server.hh"
-#include "svc/snapshot.hh"
 #include "svc/wire.hh"
 
 namespace {
@@ -177,7 +176,7 @@ main(int argc, char **argv)
     report.add("cell_latency_p99", percentile(latencies, 0.99), "s",
                cells);
 
-    // --- snapshot restore vs cold boot ---------------------------
+    // --- cold boot -----------------------------------------------
     // The config whose boot does the most work: CTA with multi-level
     // zoning and PS-bit screening (the plan scan dominates boot).
     sim::MachineConfig ctaConfig;
@@ -186,28 +185,13 @@ main(int argc, char **argv)
     ctaConfig.ctaScreenPageSize = true;
 
     const std::uint64_t boots = smoke ? 3 : 40;
-    std::vector<std::uint8_t> blob;
-    {
-        sim::Machine seed(ctaConfig);
-        blob = svc::serialize(svc::captureSnapshot(seed));
-    }
-
     start = Clock::now();
     for (std::uint64_t i = 0; i < boots; ++i) {
         sim::Machine machine(ctaConfig);
     }
     const double coldBoot = secondsSince(start) / boots;
 
-    start = Clock::now();
-    for (std::uint64_t i = 0; i < boots; ++i) {
-        auto machine = svc::restoreMachine(svc::deserialize(blob));
-    }
-    const double warmBoot = secondsSince(start) / boots;
-
     report.add("cold_boot", coldBoot * 1e3, "ms", boots);
-    report.add("snapshot_restore", warmBoot * 1e3, "ms", boots);
-    report.add("snapshot_restore_speedup", coldBoot / warmBoot, "x",
-               boots);
 
     if (!report.writeFile(out)) {
         std::cerr << "bench_svc: cannot write " << out << '\n';

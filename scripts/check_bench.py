@@ -59,7 +59,7 @@ import sys
 # suite -> {metric -> direction ("lower" / "higher" is better)}.
 # hotpath gates the mask-engine/VMA-index numbers; svc gates the
 # campaign service's cached-resubmission path (BENCH_svc.json).  The
-# svc cold/snapshot numbers stay informational: they measure full
+# svc cold and boot numbers stay informational: they measure full
 # simulations and machine boots, which swing with box load, while the
 # cached path and the hit rate are what the memoization layer
 # guarantees.
@@ -81,7 +81,6 @@ GATED = {
 INFORMATIONAL = {
     "hotpath": ["dram_read", "dram_write", "dram_read_sparse"],
     "svc": ["jobs_per_s_cold", "cached_speedup", "cold_boot",
-            "snapshot_restore", "snapshot_restore_speedup",
             "cell_latency_p50", "cell_latency_p99"],
     "fuzz": [],
 }

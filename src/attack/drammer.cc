@@ -22,6 +22,21 @@ constexpr Addr noFrame = ~0ULL;
 
 } // namespace
 
+std::optional<Pfn>
+selfMapDelta(const FlipTemplate &tmpl, const paging::Arch &arch)
+{
+    if (tmpl.bit < arch.pointerLo || tmpl.bit > 30)
+        return std::nullopt;
+    // Pointer-field bit j selects granule number bit j; in the global
+    // 4 KiB frame unit that is a run of granuleFrames().
+    const unsigned j = tmpl.bit - arch.pointerLo;
+    const bool table_bit_set =
+        (tmpl.frame >> (j + arch.tableOrder())) & 1;
+    if (tmpl.downward == table_bit_set)
+        return std::nullopt;
+    return arch.granuleFrames() << j;
+}
+
 TemplateReport
 templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
                const DrammerConfig &config, int *out_pid)
@@ -45,6 +60,16 @@ templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
     }
 
     TemplateReport report;
+    // Only flips the self-map construction can use are kept: a page
+    // whose translation moved can differ in every bit, and storing
+    // all of them would cost one template per bit.
+    auto record = [&](VAddr page, Pfn frame, std::uint64_t slot,
+                      unsigned bit, bool downward) {
+        ++report.flipsObserved;
+        const FlipTemplate tmpl{page, frame, slot, bit, downward};
+        if (selfMapDelta(tmpl, kernel.arch()))
+            report.templates.push_back(tmpl);
+    };
     std::vector<dram::FlipEvent> phase_events;
     std::vector<dram::FlipEvent> *const outer_sink = engine.eventSink();
     for (const std::uint64_t pattern : {~0ULL, 0ULL}) {
@@ -110,9 +135,8 @@ templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
                 if (it == flips_in.end())
                     continue;
                 for (const auto &[slot, bit] : it->second) {
-                    report.templates.push_back(FlipTemplate{
-                        page, addrToPfn(head.phys), slot, bit,
-                        /*downward=*/pattern == ~0ULL});
+                    record(page, addrToPfn(head.phys), slot, bit,
+                           /*downward=*/pattern == ~0ULL);
                 }
                 continue;
             }
@@ -130,9 +154,8 @@ templateMemory(Kernel &kernel, dram::RowHammerEngine &engine,
                 for (unsigned bit = 0; bit < 64; ++bit) {
                     if (!((diff >> bit) & 1))
                         continue;
-                    report.templates.push_back(FlipTemplate{
-                        page, addrToPfn(access.phys), slot, bit,
-                        /*downward=*/pattern == ~0ULL});
+                    record(page, addrToPfn(access.phys), slot, bit,
+                           /*downward=*/pattern == ~0ULL);
                 }
             }
         }
@@ -149,7 +172,7 @@ runDrammer(Kernel &kernel, dram::RowHammerEngine &engine,
     TemplateReport report = templateMemory(kernel, engine, config,
                                            &pid);
     AttackerContext ctx(kernel, engine, pid);
-    result.flipsInduced = report.templates.size();
+    result.flipsInduced = report.flipsObserved;
     result.hammerPasses = report.hammeredRows;
 
     // Current frame -> arena vaddr for pages still mapped.
@@ -167,21 +190,10 @@ runDrammer(Kernel &kernel, dram::RowHammerEngine &engine,
     for (const FlipTemplate &tmpl : report.templates) {
         if (tried >= config.maxTemplates)
             break;
-        // Only flips inside the PTE frame-pointer field with a small
-        // frame delta are usable for the self-map construction.
-        if (tmpl.bit < arch.pointerLo || tmpl.bit > 30)
-            continue;
-        // Pointer-field bit j selects granule number bit j; in the
-        // global 4 KiB frame unit that is a run of granuleFrames().
-        const unsigned j = tmpl.bit - arch.pointerLo;
-        const Pfn delta = arch.granuleFrames() << j;
-        const Pfn table_frame = tmpl.frame;
         // Data frame the templated PTE must point at so that the
         // flip redirects it onto the table itself.
-        const bool table_bit_set =
-            (table_frame >> (j + arch.tableOrder())) & 1;
-        if (tmpl.downward == table_bit_set)
-            continue; // carry would break the single-bit arithmetic
+        const Pfn delta = *selfMapDelta(tmpl, arch);
+        const Pfn table_frame = tmpl.frame;
         const Pfn data_frame = tmpl.downward ? table_frame + delta :
                                                table_frame - delta;
 
@@ -246,7 +258,7 @@ runDrammer(Kernel &kernel, dram::RowHammerEngine &engine,
         kernel.munmap(pid, scratch);
     }
 
-    result.outcome = tried == 0 && report.templates.empty() ?
+    result.outcome = tried == 0 && report.flipsObserved == 0 ?
                          Outcome::NoCorruption :
                          Outcome::Blocked;
     result.detail = kernel.ptpZone() ?

@@ -29,6 +29,7 @@
 #define CTAMEM_ATTACK_DRAMMER_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "attack/primitives.hh"
@@ -55,10 +56,23 @@ struct DrammerConfig
     CostModel cost;
 };
 
+/**
+ * Frame delta by which @p tmpl's flip moves a PTE pointer, or nullopt
+ * when the flip cannot serve the self-map construction: it must sit
+ * in the low pointer field (bits [pointerLo, 30], a small delta) and
+ * flip against the table frame's own bit, so the single-bit
+ * arithmetic carries nothing.
+ */
+std::optional<Pfn> selfMapDelta(const FlipTemplate &tmpl,
+                                const paging::Arch &arch);
+
 /** Phase-1 result, exposed for tests and benches. */
 struct TemplateReport
 {
+    /** Observed flips that pass selfMapDelta, in scan order. */
     std::vector<FlipTemplate> templates;
+    /** Every differing bit the scan observed, usable or not. */
+    std::uint64_t flipsObserved = 0;
     std::uint64_t hammeredRows = 0;
 };
 

@@ -84,8 +84,8 @@ stableHash(std::uint64_t seed, std::uint64_t key, Rest... rest)
 
 /**
  * FNV-1a over a byte range: the stable content hash used for
- * content-addressed cache keys and snapshot-blob checksums, where the
- * input is a serialized byte string rather than a u64 tuple.
+ * content-addressed cache keys, where the input is a serialized byte
+ * string rather than a u64 tuple.
  */
 inline std::uint64_t
 hashBytes(const void *data, std::size_t size,
@@ -259,27 +259,12 @@ class Rng
         return static_cast<std::uint64_t>(m >> 64);
     }
 
-    /** @name State capture (machine snapshot/restore)
-     *
-     * The four xoshiro256** words, exactly as they stand: setState
-     * of a captured state resumes the stream at the very next draw,
-     * which is what lets a machine snapshot freeze its observer
-     * streams mid-flight.
-     */
-    /** @{ */
+    /** The four xoshiro256** words, exactly as they stand. */
     std::array<std::uint64_t, 4>
     state() const
     {
         return {state_[0], state_[1], state_[2], state_[3]};
     }
-
-    void
-    setState(const std::array<std::uint64_t, 4> &state)
-    {
-        for (int i = 0; i < 4; ++i)
-            state_[i] = state[i];
-    }
-    /** @} */
 
   private:
     /** p in (0, 1) as a 64-bit binary fraction. */

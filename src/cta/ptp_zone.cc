@@ -10,50 +10,6 @@ namespace ctamem::cta {
 
 using mm::FrameSpan;
 
-PtpZone::PtpZone(dram::DramModule &module, const CtaConfig &config,
-                 const PtpLayout &layout)
-    : module_(module), arch_(config.arch),
-      indicator_(module.geometry().capacity(), config.ptpBytes),
-      lowWaterMark_(layout.lowWaterMark),
-      trueBytes_(layout.trueBytes),
-      skippedAntiBytes_(layout.skippedAntiBytes),
-      screenedFrames_(layout.screenedFrames),
-      multiLevel_(layout.multiLevel),
-      spans_(layout.spans)
-{
-    allocsLIds_[0] = failuresLIds_[0] = 0;
-    for (unsigned partition = 1; partition <= 4; ++partition) {
-        allocsLIds_[partition] = stats_.registerCounter(
-            "allocsL" + std::to_string(partition));
-        failuresLIds_[partition] = stats_.registerCounter(
-            "failuresL" + std::to_string(partition));
-    }
-    freesId_ = stats_.registerCounter("frees");
-
-    for (unsigned level = 1; level <= 4; ++level) {
-        levelSpans_[level] = layout.levelSpans[level];
-        for (const FrameSpan &span : levelSpans_[level]) {
-            levelBuddies_[level].emplace_back(span.basePfn,
-                                              span.frames);
-        }
-    }
-}
-
-PtpLayout
-PtpZone::layout() const
-{
-    PtpLayout layout;
-    layout.lowWaterMark = lowWaterMark_;
-    layout.trueBytes = trueBytes_;
-    layout.skippedAntiBytes = skippedAntiBytes_;
-    layout.screenedFrames = screenedFrames_;
-    layout.multiLevel = multiLevel_;
-    layout.spans = spans_;
-    for (unsigned level = 1; level <= 4; ++level)
-        layout.levelSpans[level] = levelSpans_[level];
-    return layout;
-}
-
 PtpZone::PtpZone(dram::DramModule &module, const CtaConfig &config)
     : module_(module), arch_(config.arch),
       indicator_(module.geometry().capacity(), config.ptpBytes),

@@ -33,26 +33,6 @@
 
 namespace ctamem::cta {
 
-/**
- * Materialized result of the ZONE_PTP layout scan: everything the
- * builder derives from the module's cell map, in plain data form.
- * Snapshots carry one of these so a restored machine can rebuild the
- * zone without re-walking rows or re-screening PS-bit cells — the
- * expensive part of a CTA boot.
- */
-struct PtpLayout
-{
-    Addr lowWaterMark = 0;
-    std::uint64_t trueBytes = 0;
-    std::uint64_t skippedAntiBytes = 0;
-    std::uint64_t screenedFrames = 0;
-    bool multiLevel = false;
-    std::vector<mm::FrameSpan> spans;
-    std::array<std::vector<mm::FrameSpan>, 5> levelSpans;
-
-    bool operator==(const PtpLayout &) const = default;
-};
-
 /** The page-table zone and its allocator. */
 class PtpZone
 {
@@ -63,16 +43,6 @@ class PtpZone
      *         true-cell bytes above the 4 GiB line.
      */
     PtpZone(dram::DramModule &module, const CtaConfig &config);
-
-    /**
-     * Rebuild the zone from a previously captured layout(), skipping
-     * the row walk and PS-bit screening scan.  The layout must have
-     * been produced by a module with the same geometry, cell map and
-     * seed — snapshot restore guarantees this by keying blobs on the
-     * full machine config.
-     */
-    PtpZone(dram::DramModule &module, const CtaConfig &config,
-            const PtpLayout &layout);
 
     /** @name Layout results */
     /** @{ */
@@ -96,9 +66,6 @@ class PtpZone
 
     /** The machine's PTP indicator. */
     const PtpIndicator &indicator() const { return indicator_; }
-
-    /** Scan results in plain data form, for snapshots. */
-    PtpLayout layout() const;
     /** @} */
 
     /** @name Allocation */

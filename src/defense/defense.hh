@@ -18,7 +18,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "dram/hammer.hh"
 
@@ -65,18 +64,6 @@ class ObserverDefense : public dram::DisturbanceObserver
      * the baseline refresh schedule.
      */
     virtual double overheadFactor() const = 0;
-
-    /** @name RNG state capture (machine snapshots)
-     *
-     * Stochastic observers (PARA, refresh boosting) expose their
-     * generator words so a restored machine resumes the exact random
-     * stream of the machine it was snapshotted from.  Deterministic
-     * observers return an empty vector and ignore restores.
-     */
-    /** @{ */
-    virtual std::vector<std::uint64_t> rngState() const { return {}; }
-    virtual void setRngState(const std::vector<std::uint64_t> &) {}
-    /** @} */
 
   protected:
     std::uint64_t mitigations_ = 0;

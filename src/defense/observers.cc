@@ -1,56 +1,8 @@
 #include "defense/observers.hh"
 
 #include "common/combinatorics.hh"
-#include "common/log.hh"
 
 namespace ctamem::defense {
-
-namespace {
-
-std::vector<std::uint64_t>
-rngWords(const Rng &rng)
-{
-    const auto state = rng.state();
-    return {state.begin(), state.end()};
-}
-
-void
-loadRngWords(Rng &rng, const std::vector<std::uint64_t> &words,
-             const char *who)
-{
-    if (words.size() != 4) {
-        fatal(who, ": RNG state must be 4 words, got ",
-              words.size());
-    }
-    rng.setState({words[0], words[1], words[2], words[3]});
-}
-
-} // namespace
-
-std::vector<std::uint64_t>
-ParaObserver::rngState() const
-{
-    return rngWords(rng_);
-}
-
-void
-ParaObserver::setRngState(const std::vector<std::uint64_t> &state)
-{
-    loadRngWords(rng_, state, "PARA");
-}
-
-std::vector<std::uint64_t>
-RefreshBoostObserver::rngState() const
-{
-    return rngWords(rng_);
-}
-
-void
-RefreshBoostObserver::setRngState(
-    const std::vector<std::uint64_t> &state)
-{
-    loadRngWords(rng_, state, "RefreshBoost");
-}
 
 bool
 ParaObserver::onHammer(const dram::DisturbanceEvent &event)

@@ -41,9 +41,6 @@ class ParaObserver : public ObserverDefense
         return 2.0 * probability_;
     }
 
-    std::vector<std::uint64_t> rngState() const override;
-    void setRngState(const std::vector<std::uint64_t> &state) override;
-
   private:
     double probability_;
     Rng rng_;
@@ -74,9 +71,6 @@ class RefreshBoostObserver : public ObserverDefense
     {
         return static_cast<double>(factor_);
     }
-
-    std::vector<std::uint64_t> rngState() const override;
-    void setRngState(const std::vector<std::uint64_t> &state) override;
 
   private:
     unsigned factor_;

@@ -68,21 +68,6 @@ class TrrSamplerObserver : public ObserverDefense
         return 0.001;
     }
 
-    std::vector<std::uint64_t>
-    rngState() const override
-    {
-        const auto words = rng_.state();
-        return {words.begin(), words.end()};
-    }
-
-    void
-    setRngState(const std::vector<std::uint64_t> &state) override
-    {
-        if (state.size() != 4)
-            return;
-        rng_.setState({state[0], state[1], state[2], state[3]});
-    }
-
   private:
     unsigned samplers_; //!< reservoir slots
     unsigned window_;   //!< eligible burst phases per interval

@@ -50,7 +50,6 @@ class DramModule
     const FaultModel &faults() const { return faults_; }
     const CellTypeMap &cellMap() const { return config_.cellMap; }
     SparseStore &store() { return store_; }
-    const SparseStore &store() const { return store_; }
 
     /** @name Data access (logical physical addresses)
      *

@@ -107,46 +107,6 @@ Kernel::Kernel(const KernelConfig &config) : config_(config)
         break;
     }
 
-    finishBoot(std::move(specs), nullptr);
-}
-
-Kernel::Kernel(const KernelConfig &config, const BootImage &image)
-    : config_(config)
-{
-    config_.cta.arch = config_.arch;
-    dram_ = std::make_unique<dram::DramModule>(config.dram);
-
-    // The zone specs come from the image rather than from a fresh
-    // scan — that skip is the whole point of a warm start.  Only the
-    // per-policy allocation flags are re-derived here.
-    switch (config.policy) {
-      case AllocPolicy::Standard:
-        pteFlags_ = GfpFlags{ZoneId::Normal, false,
-                             PageKind::PageTable};
-        break;
-      case AllocPolicy::Cta:
-        if (!image.ptpLayout)
-            fatal("warm start: CTA policy needs a ZONE_PTP layout");
-        ptp_ = std::make_unique<cta::PtpZone>(*dram_, config_.cta,
-                                              *image.ptpLayout);
-        pteFlags_ = mm::GFP_PTP;
-        break;
-      case AllocPolicy::Catt:
-        pteFlags_ = GfpFlags{ZoneId::KernelRsv, true,
-                             PageKind::PageTable};
-        break;
-      case AllocPolicy::Zebram:
-        pteFlags_ = GfpFlags{ZoneId::Normal, false,
-                             PageKind::PageTable};
-        break;
-    }
-
-    finishBoot(image.physSpecs, &image);
-}
-
-void
-Kernel::finishBoot(std::vector<ZoneSpec> specs, const BootImage *image)
-{
     processesCreatedId_ = stats_.registerCounter("processesCreated");
     deviceBuffersId_ = stats_.registerCounter("deviceBuffers");
     mmapsId_ = stats_.registerCounter("mmaps");
@@ -160,46 +120,18 @@ Kernel::finishBoot(std::vector<ZoneSpec> specs, const BootImage *image)
     pteAllocFailuresId_ = stats_.registerCounter("pteAllocFailures");
     ptReclaimsId_ = stats_.registerCounter("ptReclaims");
 
-    bootSpecs_ = std::move(specs);
-    phys_ = std::make_unique<mm::PhysicalMemory>(*dram_, bootSpecs_);
+    phys_ = std::make_unique<mm::PhysicalMemory>(*dram_,
+                                                 std::move(specs));
     mmu_ = std::make_unique<paging::Mmu>(*dram_, config_.tlbEntries,
                                          *config_.arch);
 
-    // Plant the kernel secret the attacks try to reach.  Allocation
-    // is deterministic, so a warm start replays it and must land on
-    // the frame the snapshot recorded.
+    // Plant the kernel secret the attacks try to reach.
     auto secret = phys_->allocate(
         dataFlags(Process{.trusted = true}, PageKind::KernelData));
     if (!secret)
         fatal("boot: cannot allocate the kernel secret page");
-    if (image && *secret != image->secretPfn) {
-        fatal("warm start: replayed kernel-secret allocation landed "
-              "on frame ", *secret, " but the snapshot recorded ",
-              image->secretPfn);
-    }
-    secretPfn_ = *secret;
     secretAddr_ = pfnToAddr(*secret) + 0x40;
     dram_->writeU64(secretAddr_, kernelSecret);
-    if (image)
-        now_ = image->simTime;
-}
-
-BootImage
-Kernel::bootImage() const
-{
-    if (!processes_.empty() || !ptFrameLevels_.empty()) {
-        fatal("bootImage: only a freshly booted kernel can be "
-              "snapshotted (", processes_.size(), " processes, ",
-              ptFrameLevels_.size(), " page-table frames live)");
-    }
-    BootImage image;
-    if (ptp_)
-        image.ptpLayout = ptp_->layout();
-    image.physSpecs = bootSpecs_;
-    image.secretPfn = secretPfn_;
-    image.secretAddr = secretAddr_;
-    image.simTime = now_;
-    return image;
 }
 
 Kernel::~Kernel() = default;

@@ -425,29 +425,4 @@ runMc(const McSpec &spec, runtime::ThreadPool &pool)
     return summarize(partial);
 }
 
-McEstimate
-mcExploitableFixedZeros(const SystemParams &params, unsigned zeros,
-                        std::uint64_t trials, std::uint64_t seed)
-{
-    McSpec spec;
-    spec.params = params;
-    spec.sampler = Sampler::FixedZeros;
-    spec.zeros = zeros;
-    spec.trials = trials;
-    spec.seed = seed;
-    return runMc(spec);
-}
-
-McEstimate
-mcExploitableUniform(const SystemParams &params, std::uint64_t trials,
-                     std::uint64_t seed)
-{
-    McSpec spec;
-    spec.params = params;
-    spec.sampler = Sampler::Uniform;
-    spec.trials = trials;
-    spec.seed = seed;
-    return runMc(spec);
-}
-
 } // namespace ctamem::model

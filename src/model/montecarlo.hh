@@ -124,26 +124,6 @@ McEstimate runMc(const McSpec &spec);
  */
 McEstimate runMc(const McSpec &spec, runtime::ThreadPool &pool);
 
-/**
- * Estimate P_exploitable by simulating per-bit flips on PTEs whose
- * indicator has exactly @p zeros zero bits (attacker-optimal when
- * zeros == max(1, minIndicatorZeros)).  Thin wrapper over runMc().
- */
-McEstimate mcExploitableFixedZeros(const SystemParams &params,
-                                   unsigned zeros,
-                                   std::uint64_t trials,
-                                   std::uint64_t seed =
-                                       seeds::kMonteCarlo);
-
-/**
- * Estimate P_exploitable for uniform pointers below the low water
- * mark.  Thin wrapper over runMc().
- */
-McEstimate mcExploitableUniform(const SystemParams &params,
-                                std::uint64_t trials,
-                                std::uint64_t seed =
-                                    seeds::kMonteCarlo);
-
 } // namespace ctamem::model
 
 #endif // CTAMEM_MODEL_MONTECARLO_HH

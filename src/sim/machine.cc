@@ -32,20 +32,6 @@ defenseParams(const MachineConfig &config)
 
 Machine::Machine(const MachineConfig &config) : config_(config)
 {
-    assemble(nullptr);
-}
-
-Machine::Machine(const MachineConfig &config,
-                 const kernel::BootImage &image)
-    : config_(config)
-{
-    assemble(&image);
-}
-
-void
-Machine::assemble(const kernel::BootImage *image)
-{
-    const MachineConfig &config = config_;
     const defense::DefenseSpec *spec =
         defense::Registry::instance().find(config.defense);
     if (!spec) {
@@ -68,9 +54,7 @@ Machine::assemble(const kernel::BootImage *image)
         spec->configureKernel(params, kconfig);
     kconfig.arch = &paging::resolveArch(config.arch, config.granule);
 
-    kernel_ = image
-        ? std::make_unique<kernel::Kernel>(kconfig, *image)
-        : std::make_unique<kernel::Kernel>(kconfig);
+    kernel_ = std::make_unique<kernel::Kernel>(kconfig);
 
     if (spec->makeObserver)
         observer_ = spec->makeObserver(params);

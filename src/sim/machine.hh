@@ -91,15 +91,6 @@ class Machine
   public:
     explicit Machine(const MachineConfig &config);
 
-    /**
-     * Warm start from a boot image captured on an identically
-     * configured machine (see svc/snapshot.*): skips the CTA zone
-     * scans.  The caller is responsible for restoring DRAM contents
-     * and observer RNG state afterwards.
-     */
-    Machine(const MachineConfig &config,
-            const kernel::BootImage &image);
-
     kernel::Kernel &kernel() { return *kernel_; }
     dram::DramModule &dram() { return kernel_->dram(); }
     dram::RowHammerEngine &engine() { return *engine_; }
@@ -119,9 +110,6 @@ class Machine
     attack::AttackResult runAttack(AttackKind kind);
 
   private:
-    /** Shared body of both constructors. */
-    void assemble(const kernel::BootImage *image);
-
     MachineConfig config_;
     std::unique_ptr<kernel::Kernel> kernel_;
     std::unique_ptr<defense::ObserverDefense> observer_;

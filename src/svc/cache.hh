@@ -5,10 +5,10 @@
  *
  * Keys are derived from the canonical JSON dump of a CampaignCell
  * (config + attack + label — the seed rides in the config) chained
- * with the scenario schema version, so a key names exactly one
- * deterministic simulation outcome and cached rows cannot outlive a
- * schema change.  Values are stored as canonical JSON dumps of the
- * CellResult, returned verbatim on hits — including the original
+ * with kResultCacheEpoch, so a key names exactly one deterministic
+ * simulation outcome and cached rows cannot outlive an epoch bump.
+ * Values are stored as canonical JSON dumps of the CellResult,
+ * returned verbatim on hits — including the original
  * wallSeconds — which is what makes a fully cached resubmission's
  * CampaignReport bit-identical to the cold run's.
  *
@@ -101,9 +101,6 @@ class ResultCache
  * canonical JSON chained with kResultCacheEpoch.
  */
 std::string cellCacheKey(const sim::CampaignCell &cell);
-
-/** Content-address of a machine config (snapshot-store key). */
-std::string configCacheKey(const sim::MachineConfig &config);
 
 } // namespace ctamem::svc
 

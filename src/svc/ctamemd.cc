@@ -31,7 +31,6 @@ usage(const char *argv0)
         << "  --cache-dir PATH   disk cache directory (default "
            ".ctamem-cache)\n"
         << "  --no-disk-cache    keep results in memory only\n"
-        << "  --no-snapshot      always cold-boot machines\n"
         << "Protocol frames are read from stdin and written to "
            "stdout.\n";
     return 2;
@@ -73,8 +72,6 @@ main(int argc, char **argv)
             config.cacheDir = argv[++i];
         } else if (arg == "--no-disk-cache") {
             config.cacheDir.clear();
-        } else if (arg == "--no-snapshot") {
-            config.snapshotWarmStart = false;
         } else {
             return usage(argv[0]);
         }

@@ -2,12 +2,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/log.hh"
 #include "fuzz/fuzzer.hh"
 #include "sim/scenario.hh"
-#include "svc/snapshot.hh"
 #include "svc/wire.hh"
 
 namespace ctamem::svc {
@@ -76,56 +77,6 @@ CampaignService::waitIdle()
     idle_.wait(lock, [this] { return pendingCells_ == 0; });
 }
 
-CellResult
-CampaignService::runCellWarm(const CampaignCell &cell)
-{
-    if (!config_.snapshotWarmStart)
-        return sim::runCell(cell);
-
-    const Clock::time_point start = Clock::now();
-    const std::string key = configCacheKey(cell.config);
-
-    std::shared_ptr<const std::vector<std::uint8_t>> blob;
-    {
-        std::lock_guard<std::mutex> lock(snapshotMutex_);
-        auto it = snapshots_.find(key);
-        if (it != snapshots_.end())
-            blob = it->second;
-    }
-
-    std::unique_ptr<sim::Machine> machine;
-    if (blob) {
-        machine = restoreMachine(
-            deserialize(blob->data(), blob->size()));
-        std::lock_guard<std::mutex> lock(countersMutex_);
-        ++counters_.snapshotRestores;
-    } else {
-        machine = std::make_unique<sim::Machine>(cell.config);
-        auto taken = std::make_shared<const std::vector<std::uint8_t>>(
-            serialize(captureSnapshot(*machine)));
-        {
-            std::lock_guard<std::mutex> lock(snapshotMutex_);
-            if (snapshots_.emplace(key, std::move(taken)).second) {
-                snapshotLru_.push_back(key);
-                while (snapshots_.size() > config_.snapshotEntries) {
-                    snapshots_.erase(snapshotLru_.front());
-                    snapshotLru_.pop_front();
-                }
-            }
-        }
-        std::lock_guard<std::mutex> lock(countersMutex_);
-        ++counters_.snapshotCaptures;
-    }
-
-    CellResult out;
-    out.cell = cell;
-    out.result = machine->runAttack(cell.attack);
-    out.anvilTriggered =
-        machine->anvil() && machine->anvil()->triggered();
-    out.wallSeconds = secondsSince(start);
-    return out;
-}
-
 CampaignService::CellOutcome
 CampaignService::runCellCached(const CampaignCell &cell)
 {
@@ -143,7 +94,7 @@ CampaignService::runCellCached(const CampaignCell &cell)
     }
 
     CellOutcome outcome;
-    outcome.result = runCellWarm(cell);
+    outcome.result = sim::runCell(cell);
     outcome.cached = false;
     cache_.insert(key, sim::toJson(outcome.result));
     std::lock_guard<std::mutex> lock(countersMutex_);
@@ -163,11 +114,6 @@ CampaignService::statsJson()
     {
         std::lock_guard<std::mutex> lock(pendingMutex_);
         pending = pendingCells_;
-    }
-    std::size_t snapshotCount;
-    {
-        std::lock_guard<std::mutex> lock(snapshotMutex_);
-        snapshotCount = snapshots_.size();
     }
 
     Json resultCache = Json::object();
@@ -213,10 +159,6 @@ CampaignService::statsJson()
         .set("jobsRejected", counters.jobsRejected)
         .set("cellsExecuted", counters.cellsExecuted)
         .set("cellsCached", counters.cellsCached)
-        .set("snapshotCaptures", counters.snapshotCaptures)
-        .set("snapshotRestores", counters.snapshotRestores)
-        .set("snapshotEntries",
-             static_cast<std::uint64_t>(snapshotCount))
         .set("resultCache", std::move(resultCache))
         .set("profileCache", std::move(profileCache))
         .set("fuzz", std::move(fuzzJson));

@@ -7,16 +7,14 @@
  * a manifest-ordered CampaignReport when the whole submission is
  * done.
  *
- * Three mechanisms make the service cheaper than one-shot runs:
+ * Uncached cells run through sim::runCell, exactly as a local
+ * Campaign runs them.  Two mechanisms make the service cheaper and
+ * safer than one-shot runs:
  *
  *  - results are memoized in a two-tier content-addressed cache
  *    (svc/cache.hh): resubmitting a manifest — the common loop while
  *    editing one — replays stored rows verbatim, and the replayed
  *    report is bit-identical to the cold run's;
- *  - machines warm-start from snapshots (svc/snapshot.hh): the first
- *    cell of each distinct MachineConfig boots cold and captures a
- *    blob post-boot, later cells restore it and skip the CTA zone
- *    scans;
  *  - backpressure: a submission whose cells would push the in-flight
  *    count past the queue capacity is rejected up front with a
  *    "queue-full" frame instead of being buffered unboundedly.
@@ -28,12 +26,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <iosfwd>
-#include <list>
-#include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 #include "runtime/thread_pool.hh"
 #include "svc/cache.hh"
@@ -51,10 +45,6 @@ struct ServiceConfig
     std::size_t memCacheEntries = 1024;
     /** Disk cache directory; empty disables the disk tier. */
     std::string cacheDir = ".ctamem-cache";
-    /** Warm-start machines from post-boot snapshots. */
-    bool snapshotWarmStart = true;
-    /** Distinct configs whose snapshot blobs are kept (LRU). */
-    std::size_t snapshotEntries = 32;
 };
 
 /** Service-level counters (cache counters live in CacheStats). */
@@ -64,8 +54,6 @@ struct ServiceCounters
     std::uint64_t jobsRejected = 0;
     std::uint64_t cellsExecuted = 0; //!< ran a machine
     std::uint64_t cellsCached = 0;   //!< served from the result cache
-    std::uint64_t snapshotCaptures = 0;
-    std::uint64_t snapshotRestores = 0;
 };
 
 /** The campaign server.  One instance serves one session at a time. */
@@ -93,9 +81,9 @@ class CampaignService
     };
 
     /**
-     * Run one cell through the cache and the snapshot warm-start
-     * path — the unit of work serve() dispatches per cell, exposed
-     * for benches and tests.
+     * Run one cell through the cache, booting a machine on a miss —
+     * the unit of work serve() dispatches per cell, exposed for
+     * benches and tests.
      */
     CellOutcome runCellCached(const sim::CampaignCell &cell);
 
@@ -112,22 +100,12 @@ class CampaignService
 
     void handleSubmit(const json::Json &request, std::ostream &out);
 
-    /** Execute a cell on a warm-started (or cold) machine. */
-    sim::CellResult runCellWarm(const sim::CampaignCell &cell);
-
     /** Block until no cells are in flight. */
     void waitIdle();
 
     ServiceConfig config_;
     ResultCache cache_;
     runtime::ThreadPool pool_;
-
-    /** Snapshot blobs by configCacheKey, LRU-bounded. */
-    std::mutex snapshotMutex_;
-    std::unordered_map<std::string,
-                       std::shared_ptr<const std::vector<std::uint8_t>>>
-        snapshots_;
-    std::list<std::string> snapshotLru_;
 
     mutable std::mutex countersMutex_;
     ServiceCounters counters_;

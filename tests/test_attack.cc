@@ -16,6 +16,7 @@
 #include "attack/exploit.hh"
 #include "attack/projectzero.hh"
 #include "kernel/kernel.hh"
+#include "sim/machine.hh"
 
 namespace ctamem::attack {
 namespace {
@@ -95,6 +96,34 @@ TEST(Drammer, TemplatingFindsReproducibleFlips)
             SUCCEED();
         }
     }
+}
+
+TEST(Drammer, MovedTranslationStoresOnlyUsableTemplates)
+{
+    // At this seed arena pages' translations move off the frames
+    // they were filled through, so the scan diffs foreign frames:
+    // nearly 17M differing bits.  Every one counts as an induced
+    // flip, but only those selfMapDelta accepts are stored, and the
+    // attack still escalates through one of them.
+    sim::MachineConfig config;
+    config.seed = 4490428473164704110ULL;
+    sim::Machine machine(config);
+    const AttackResult result =
+        machine.runAttack(sim::AttackKind::Drammer);
+    EXPECT_EQ(result.outcome, Outcome::Escalated) << result.detail;
+    EXPECT_EQ(result.flipsInduced, 16'892'804u);
+
+    sim::Machine fresh(config);
+    DrammerConfig drammer;
+    drammer.arenaPages = 1024;
+    const TemplateReport report =
+        templateMemory(fresh.kernel(), fresh.engine(), drammer);
+    EXPECT_EQ(report.flipsObserved, 16'892'156u);
+    EXPECT_EQ(report.templates.size(), 1'471'467u);
+    std::uint64_t unusable = 0;
+    for (const FlipTemplate &tmpl : report.templates)
+        unusable += !selfMapDelta(tmpl, fresh.kernel().arch());
+    EXPECT_EQ(unusable, 0u);
 }
 
 TEST(Drammer, EscalatesOnUnprotectedKernel)

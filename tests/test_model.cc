@@ -151,8 +151,8 @@ TEST(MonteCarlo, FixedZerosMatchesClosedFormTerm)
         const double analytic =
             std::pow(p_up, zeros) *
             std::pow(1.0 - p_down, n - zeros);
-        const McEstimate mc =
-            mcExploitableFixedZeros(params, zeros, 400'000);
+        const McEstimate mc = runMc(
+            {.params = params, .zeros = zeros, .trials = 400'000});
         EXPECT_NEAR(mc.mean, analytic, 5 * mc.stderr + 1e-9)
             << "zeros=" << zeros;
     }
@@ -164,7 +164,9 @@ TEST(MonteCarlo, UniformPointerIsBelowPaperFormula)
     params.errors.pf = 0.05;
     params.errors.p01True = 0.3;
     params.errors.p10True = 0.7;
-    const McEstimate mc = mcExploitableUniform(params, 200'000);
+    const McEstimate mc = runMc({.params = params,
+                                 .sampler = Sampler::Uniform,
+                                 .trials = 200'000});
     // The paper's formula assumes attacker-optimal spray content, so
     // it must upper-bound the uniform-content estimate.
     EXPECT_LT(mc.mean, pExploitable(params));
@@ -177,9 +179,9 @@ TEST(MonteCarlo, TrueCellsBeatAntiCells)
     SystemParams anti_zone = true_zone;
     anti_zone.zoneCells = dram::CellType::Anti;
     const McEstimate mc_true =
-        mcExploitableFixedZeros(true_zone, 1, 200'000);
+        runMc({.params = true_zone, .zeros = 1, .trials = 200'000});
     const McEstimate mc_anti =
-        mcExploitableFixedZeros(anti_zone, 1, 200'000);
+        runMc({.params = anti_zone, .zeros = 1, .trials = 200'000});
     EXPECT_LT(mc_true.mean * 10, mc_anti.mean + 1e-12);
 }
 

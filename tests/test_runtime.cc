@@ -209,18 +209,6 @@ TEST(RunMc, BatchedRaggedChunksCountAllTrials)
     EXPECT_EQ(serial.mean, parallel.mean);
 }
 
-TEST(RunMc, LegacyWrappersAreThinOverRunMc)
-{
-    const McSpec spec = boostedSpec();
-    const McEstimate wrapped = model::mcExploitableFixedZeros(
-        spec.params, spec.zeros, spec.trials, spec.seed);
-    McSpec defaults = spec;
-    defaults.chunkSize = McSpec{}.chunkSize; // wrapper uses default
-    const McEstimate direct = model::runMc(defaults);
-    EXPECT_EQ(wrapped.mean, direct.mean);
-    EXPECT_EQ(wrapped.stderr, direct.stderr);
-}
-
 TEST(RunMc, RaggedLastChunkCountsAllTrials)
 {
     McSpec spec = boostedSpec();

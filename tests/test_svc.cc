@@ -1,11 +1,10 @@
 /**
  * @file
  * Tests for the campaign service stack: wire framing, the two-tier
- * content-addressed result cache, machine snapshot/restore (byte
- * round-trips, cold-boot equivalence, corruption rejection), and the
- * CampaignService protocol loop — streaming, backpressure, and the
- * bit-identical-resubmission guarantee over every checked-in
- * manifest.
+ * content-addressed result cache, and the CampaignService protocol
+ * loop — streaming, backpressure, and, over every checked-in
+ * manifest, served cells equal to a local run and a bit-identical
+ * resubmission.
  */
 
 #include <gtest/gtest.h>
@@ -18,14 +17,10 @@
 #include <thread>
 #include <vector>
 
-#include "attack/result.hh"
-#include "common/rng.hh"
-#include "defense/defense.hh"
 #include "dram/hammer.hh"
 #include "sim/scenario.hh"
 #include "svc/cache.hh"
 #include "svc/server.hh"
-#include "svc/snapshot.hh"
 #include "svc/wire.hh"
 
 namespace ctamem::svc {
@@ -33,7 +28,6 @@ namespace {
 
 using json::Json;
 using sim::CampaignCell;
-using sim::MachineConfig;
 
 std::string
 repoPath(const std::string &relative)
@@ -257,126 +251,6 @@ TEST(Cache, RacingDiskWritersOfOneKeyLeaveOneCompleteEntry)
          std::filesystem::directory_iterator(dir.path())) {
         EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
     }
-}
-
-// ---------------------------------------------------------------
-// Snapshot/restore
-
-MachineConfig
-ctaScreeningConfig()
-{
-    MachineConfig config;
-    config.defense = defense::DefenseKind::Cta;
-    config.ctaMultiLevelZones = true;
-    config.ctaScreenPageSize = true;
-    return config;
-}
-
-TEST(Snapshot, BlobRoundTripIsByteIdentical)
-{
-    sim::Machine machine(ctaScreeningConfig());
-    const MachineSnapshot snapshot = captureSnapshot(machine);
-    const std::vector<std::uint8_t> blob = serialize(snapshot);
-    const MachineSnapshot parsed = deserialize(blob);
-    EXPECT_EQ(serialize(parsed), blob);
-
-    EXPECT_EQ(parsed.config, snapshot.config);
-    ASSERT_TRUE(parsed.image.ptpLayout.has_value());
-    EXPECT_EQ(*parsed.image.ptpLayout, *snapshot.image.ptpLayout);
-    EXPECT_EQ(parsed.image.secretPfn, snapshot.image.secretPfn);
-    ASSERT_EQ(parsed.frames.size(), snapshot.frames.size());
-}
-
-TEST(Snapshot, RestoredMachineSnapshotsIdentically)
-{
-    // capture(restore(capture(m))) == capture(m): the restored
-    // machine carries byte-identical store and boot state.
-    sim::Machine machine(ctaScreeningConfig());
-    const std::vector<std::uint8_t> blob =
-        serialize(captureSnapshot(machine));
-    auto restored = restoreMachine(deserialize(blob));
-    EXPECT_EQ(serialize(captureSnapshot(*restored)), blob);
-}
-
-TEST(Snapshot, RestoredMachineAttackMatchesColdBoot)
-{
-    // The attack on a restored machine must be bit-identical to the
-    // attack on a cold boot — across policy-only and RNG-observer
-    // defenses.
-    for (const defense::DefenseKind kind :
-         {defense::DefenseKind::None, defense::DefenseKind::Cta,
-          defense::DefenseKind::Para}) {
-        MachineConfig config = ctaScreeningConfig();
-        config.defense = kind;
-
-        sim::Machine cold(config);
-        const std::vector<std::uint8_t> blob =
-            serialize(captureSnapshot(cold));
-        const attack::AttackResult coldResult =
-            cold.runAttack(sim::AttackKind::ProjectZero);
-
-        auto warm = restoreMachine(deserialize(blob));
-        const attack::AttackResult warmResult =
-            warm->runAttack(sim::AttackKind::ProjectZero);
-
-        EXPECT_EQ(warmResult.outcome, coldResult.outcome)
-            << defense::defenseName(kind);
-        EXPECT_EQ(warmResult.detail, coldResult.detail);
-        EXPECT_EQ(warmResult.attackTime, coldResult.attackTime);
-        EXPECT_EQ(warmResult.hammerPasses, coldResult.hammerPasses);
-        EXPECT_EQ(warmResult.flipsInduced, coldResult.flipsInduced);
-        EXPECT_EQ(warmResult.ptesCorrupted, coldResult.ptesCorrupted);
-        EXPECT_EQ(warmResult.selfReferences,
-                  coldResult.selfReferences);
-    }
-}
-
-TEST(Snapshot, CorruptedBlobsAreRejected)
-{
-    sim::Machine machine(ctaScreeningConfig());
-    const std::vector<std::uint8_t> blob =
-        serialize(captureSnapshot(machine));
-
-    // Flipping any byte breaks the checksum; probe a spread of
-    // offsets including the magic, the header and the checksum
-    // itself.
-    for (const std::size_t offset :
-         {std::size_t{0}, std::size_t{9}, std::size_t{40},
-          blob.size() / 2, blob.size() - 1}) {
-        std::vector<std::uint8_t> corrupt = blob;
-        corrupt[offset] ^= 0x01;
-        EXPECT_THROW(deserialize(corrupt), SnapshotError)
-            << "offset " << offset;
-    }
-}
-
-TEST(Snapshot, TruncatedBlobsAreRejected)
-{
-    sim::Machine machine(ctaScreeningConfig());
-    const std::vector<std::uint8_t> blob =
-        serialize(captureSnapshot(machine));
-
-    for (const std::size_t keep :
-         {std::size_t{0}, std::size_t{4}, std::size_t{19},
-          blob.size() / 2, blob.size() - 1}) {
-        std::vector<std::uint8_t> cut(blob.begin(),
-                                      blob.begin() + keep);
-        EXPECT_THROW(deserialize(cut), SnapshotError)
-            << "kept " << keep;
-    }
-}
-
-TEST(Snapshot, UnknownVersionIsRejected)
-{
-    sim::Machine machine(ctaScreeningConfig());
-    std::vector<std::uint8_t> blob =
-        serialize(captureSnapshot(machine));
-    blob[8] += 1; // bump the format version past this build's
-    // Re-stamp the checksum so only the version check can object.
-    std::uint64_t checksum = hashBytes(blob.data(), blob.size() - 8);
-    for (int i = 0; i < 8; ++i)
-        blob[blob.size() - 8 + i] = (checksum >> (8 * i)) & 0xff;
-    EXPECT_THROW(deserialize(blob), SnapshotError);
 }
 
 // ---------------------------------------------------------------
@@ -613,9 +487,10 @@ TEST(Service, ShutdownAnswersByeAndStops)
 
 TEST(Service, CheckedInManifestsReplayBitIdentically)
 {
-    // The PR's golden guarantee: resubmitting any checked-in
-    // manifest yields a report whose cells are byte-identical to the
-    // cold run's.
+    // For every checked-in manifest, the served cold cells equal a
+    // local Campaign run's (wall-clock aside), and resubmitting
+    // yields a report whose cells are byte-identical to the cold
+    // run's.
     CampaignService service(testServiceConfig());
     std::size_t manifests = 0;
     for (const auto &entry : std::filesystem::directory_iterator(
@@ -641,6 +516,21 @@ TEST(Service, CheckedInManifestsReplayBitIdentically)
         EXPECT_EQ(cold.back().at("report").at("cells").dump(),
                   warm.back().at("report").at("cells").dump())
             << entry.path();
+
+        sim::CampaignReport local =
+            sim::campaignFromJson(manifest).run();
+        const Json::Array &served =
+            cold.back().at("report").at("cells").items();
+        ASSERT_EQ(served.size(), local.cells.size()) << entry.path();
+        for (std::size_t i = 0; i < served.size(); ++i) {
+            sim::CellResult fromService =
+                sim::cellResultFromJson(served[i]);
+            fromService.wallSeconds = 0;
+            local.cells[i].wallSeconds = 0;
+            EXPECT_EQ(sim::toJson(fromService).dump(),
+                      sim::toJson(local.cells[i]).dump())
+                << entry.path() << " cell " << i;
+        }
     }
     EXPECT_GE(manifests, 4u);
 }
